@@ -1,39 +1,38 @@
 //! FRAIG — functionally reduced AIGs by simulate / refine / prove.
 //!
-//! The simplifying CNF sink (`emm-sat`) can only intern gates the unroller
-//! already chose to emit, and every sweep refutation there costs a solver
-//! model *during encoding*. This pass moves sweeping to where it is cheap
-//! and pays everywhere: the design's AIG, **once, before unrolling**, so a
+//! The pass sweeps the design's AIG **once, before unrolling**, so a
 //! merged cone disappears from every time frame of every BMC context.
+//! It runs in three phases:
 //!
-//! The loop is the classic fraiging recipe:
-//!
-//! 1. **Simulate** — every node carries a multi-word signature
-//!    ([`FraigConfig::sim_words`] × 64 pseudorandom input patterns,
-//!    deterministic in [`FraigConfig::seed`]), computed incrementally as
-//!    the reduced graph is built. Equal (or complementary) signatures are
-//!    the only evidence considered, so candidate classes are found without
-//!    any solver work. The constant node seeds the all-zero class, which
-//!    is how constant cones are detected.
-//! 2. **Prove** — candidate pairs go to an incremental
-//!    [`emm_sat::EquivOracle`]: only the two cones' Tseitin clauses are
-//!    encoded (shared substructure once), and the query is bounded by
-//!    [`FraigConfig::sat_conflicts`]. A proved pair merges the new node
-//!    into its class representative; fanouts built later automatically
-//!    redirect to the representative.
-//! 3. **Refine** — a refuted pair yields a distinguishing model, which is
-//!    a *real* simulation pattern. It is folded into every signature and
-//!    the candidate classes are re-bucketed, so one counterexample
-//!    separates every pair it distinguishes — no candidate is ever offered
-//!    again across a pattern the engine has already seen, and the
-//!    guided patterns quickly sharpen the random ones.
-//!
-//! The pass finishes with a rewrite: a fresh graph is rebuilt in the old
-//! topological order with every fanout redirected to class
-//! representatives, inputs preserved index-for-index, and merged or
-//! unreferenced cones dead-stripped. [`fraig_design`] applies that rewrite
-//! to a whole [`Design`] (ports, properties, constraints, name table)
-//! through `Design::replace_aig`.
+//! 1. **Simulate** — the source graph is rebuilt in topological order
+//!    (structural hashing only, no SAT) while every node gets a
+//!    multi-word signature ([`FraigConfig::sim_words`] × 64 pseudorandom
+//!    input patterns, deterministic in [`FraigConfig::seed`]). Equal (or
+//!    complementary) signatures are the only evidence considered, so
+//!    candidate classes are found without any solver work. The constant
+//!    node joins the all-zero class, which is how constant cones are
+//!    detected.
+//! 2. **Rounds** — each round buckets the live class representatives by
+//!    canonical signature into candidate classes (at most
+//!    [`FraigConfig::max_bucket`] members; overflow is counted in
+//!    [`FraigStats::buckets_truncated`] and re-offered next round) and
+//!    hands one job per class to a [`SweepRunner`]. A job checks every
+//!    member against the class leader (its oldest node) with a private
+//!    [`EquivOracle`]: only the cones' Tseitin clauses are encoded, and
+//!    each query is bounded by [`FraigConfig::sat_conflicts`]. At the
+//!    round **barrier** the reports are committed in canonical class
+//!    order: proved members merge into their leader, and each refutation's
+//!    distinguishing model — a real simulation pattern — is folded into
+//!    every signature, which splits the classes the next round buckets.
+//!    Rounds stop when one makes no progress or [`FraigConfig::max_checks`]
+//!    is spent. Jobs are pure functions of the round snapshot, so the
+//!    result is identical at every worker count.
+//! 3. **Rebuild** — a fresh graph is built in the old topological order
+//!    with every fanout redirected to its class representative, inputs
+//!    preserved index-for-index, and merged or unreferenced cones
+//!    dead-stripped. [`fraig_design`] applies that rewrite to a whole
+//!    [`Design`] (ports, properties, constraints, name table) through
+//!    `Design::replace_aig`.
 //!
 //! Soundness: a merge is performed only after the oracle *proves* the two
 //! cones equal as functions of all AIG inputs (latch outputs and read-data
@@ -45,14 +44,16 @@
 //! counterexamples against the *original* design.
 //!
 //! ```
-//! use emm_aig::{Aig, fraig::{fraig_aig, FraigConfig}};
+//! use emm_aig::{Aig, fraig::{fraig_aig, FraigConfig, SequentialRunner}};
+//! use emm_sat::ResourceGovernor;
 //!
 //! let mut g = Aig::new();
 //! let a = g.new_input();
 //! let b = g.new_input();
 //! let x = g.and(a, b);
 //! let y = g.and(a, x); // absorbed: a ∧ (a ∧ b) ≡ x, structurally distinct
-//! let r = fraig_aig(&g, &[x, y], &FraigConfig::default());
+//! let governor = ResourceGovernor::unlimited();
+//! let r = fraig_aig(&g, &[x, y], &FraigConfig::default(), &governor, &SequentialRunner);
 //! assert_eq!(r.map_bit(x), r.map_bit(y));
 //! assert_eq!(r.stats.merges, 1);
 //! assert_eq!(r.aig.num_ands(), 1);
@@ -76,8 +77,6 @@ pub struct FraigConfig {
     pub sim_words: usize,
     /// Conflict budget per equivalence-check direction.
     pub sat_conflicts: u64,
-    /// Candidates tried per node before giving up on a merge.
-    pub max_candidates: usize,
     /// Total SAT equivalence checks across the pass (hard cap; the pass
     /// degrades to pure structural reduction once exhausted).
     pub max_checks: u64,
@@ -93,7 +92,6 @@ impl Default for FraigConfig {
             enabled: true,
             sim_words: 4,
             sat_conflicts: 48,
-            max_candidates: 2,
             max_checks: 4096,
             max_bucket: 8,
             seed: 0x00E5_AD8F_F12A_9001,
@@ -118,8 +116,8 @@ pub struct FraigStats {
     pub ands_before: usize,
     /// AND gates in the rewritten graph (merges and dead cones removed).
     pub ands_after: usize,
-    /// Old gates answered by folding/structural hashing during rebuild
-    /// (redundancy the representative substitution exposed).
+    /// Source gates answered by folding/structural hashing during the
+    /// signature rebuild.
     pub structural_merges: u64,
     /// Nodes merged into an equivalence-class representative by a proof.
     pub merges: u64,
@@ -136,16 +134,10 @@ pub struct FraigStats {
     /// Simulation patterns used (initial random plus counterexamples).
     pub sim_patterns: u64,
     /// Nodes a candidate class refused because it was already at
-    /// [`FraigConfig::max_bucket`] — cones that were never offered for a
-    /// merge. A non-zero count means raising `max_bucket`/`max_checks`
-    /// could find more merges (the ROADMAP's bucket-cap blind spot).
+    /// [`FraigConfig::max_bucket`], summed over rounds. A refused cone
+    /// stays live and is re-offered in the next round, once merges have
+    /// shrunk or refinement has split its class.
     pub buckets_truncated: u64,
-    /// Truncated cones re-offered by the retry pass once merges landed
-    /// or refinement split their classes.
-    pub truncated_retried: u64,
-    /// Merges found by the truncated-cone retry pass (included in
-    /// [`FraigStats::merges`]).
-    pub retry_merges: u64,
     /// The pass was interrupted by its [`ResourceGovernor`] (deadline or
     /// cancellation) and degraded to structural reduction for the
     /// remainder of the graph. The result is still a sound best-so-far
@@ -190,450 +182,6 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// The in-flight state of one fraig run over a growing reduced graph.
-struct Fraiger {
-    config: FraigConfig,
-    /// The graph being built ("G1"): source nodes rebuilt over
-    /// representative-substituted operands. Merged nodes stay in it as
-    /// garbage and are dead-stripped by the final compaction.
-    g1: Aig,
-    /// G1 node -> representative edge (identity unless merged).
-    repr: Vec<Bit>,
-    /// Flat signatures: G1 node `n` owns `sig[n*w .. (n+1)*w]`.
-    sig: Vec<u64>,
-    /// Candidate classes: canonical signature -> canonical member edges.
-    buckets: HashMap<Vec<u64>, Vec<Bit>>,
-    /// Lazily encoded cones of G1 (the solver side).
-    oracle: EquivOracle,
-    stats: FraigStats,
-    /// The shared resource governor; polled once per candidate-loop
-    /// entry so cancellation latency is bounded by one SAT check.
-    governor: ResourceGovernor,
-    /// Set when the governor trips: no further SAT work is issued and
-    /// the pass degrades to structural reduction.
-    halted: bool,
-    /// Cones refused by a full candidate class, kept for the retry pass.
-    truncated: Vec<NodeId>,
-}
-
-impl Fraiger {
-    fn new(config: FraigConfig, governor: ResourceGovernor) -> Fraiger {
-        let w = config.sim_words.max(1);
-        let mut oracle = EquivOracle::new();
-        oracle.set_governor(governor.clone());
-        let mut f = Fraiger {
-            config: FraigConfig {
-                sim_words: w,
-                ..config
-            },
-            g1: Aig::new(),
-            repr: vec![Aig::FALSE],
-            sig: vec![0; w],
-            buckets: HashMap::new(),
-            oracle,
-            stats: FraigStats {
-                sim_patterns: 64 * w as u64,
-                ..FraigStats::default()
-            },
-            governor,
-            halted: false,
-            truncated: Vec::new(),
-        };
-        // The constant node seeds the all-zero class, so constant cones
-        // become ordinary merge candidates.
-        f.buckets.insert(vec![0; w], vec![Aig::FALSE]);
-        f
-    }
-
-    /// Follows representative chains (with phase) to the class leader.
-    fn resolve(&self, mut bit: Bit) -> Bit {
-        loop {
-            let r = self.repr[bit.node().index()];
-            if r.node() == bit.node() {
-                return if bit.is_inverted() { !r } else { r };
-            }
-            bit = if bit.is_inverted() { !r } else { r };
-        }
-    }
-
-    /// Signature of a G1 edge (node signature, phase-adjusted), one word.
-    fn sig_word(&self, bit: Bit, w: usize) -> u64 {
-        let s = self.sig[bit.node().index() * self.config.sim_words + w];
-        if bit.is_inverted() {
-            !s
-        } else {
-            s
-        }
-    }
-
-    /// Canonicalizes an edge's signature: flips the phase so pattern 0
-    /// (bit 0 of word 0) evaluates to false. Equal functions — up to
-    /// complement — then share one key.
-    fn canonical(&self, node: NodeId) -> (Bit, Vec<u64>) {
-        let w = self.config.sim_words;
-        let bit = Bit::new(node, self.sig[node.index() * w] & 1 == 1);
-        let key = (0..w).map(|i| self.sig_word(bit, i)).collect();
-        (bit, key)
-    }
-
-    /// Registers a fresh G1 node with the given signature words.
-    fn push_node(&mut self, node: NodeId, words: &[u64]) {
-        debug_assert_eq!(node.index(), self.repr.len());
-        self.repr.push(Bit::new(node, false));
-        self.sig.extend_from_slice(words);
-    }
-
-    /// Rebuilds one source AND over mapped operands, then tries to merge
-    /// the result into an existing equivalence class. Returns the edge the
-    /// source node maps to.
-    fn build_and(&mut self, a: Bit, b: Bit) -> Bit {
-        let a = self.resolve(a);
-        let b = self.resolve(b);
-        let before = self.g1.num_nodes();
-        let out = self.g1.and(a, b);
-        if self.g1.num_nodes() == before {
-            // Folded or interned: the substitutions exposed existing
-            // structure; no new node, no new signature.
-            self.stats.structural_merges += 1;
-            return self.resolve(out);
-        }
-        let w = self.config.sim_words;
-        let words: Vec<u64> = (0..w)
-            .map(|i| self.sig_word(a, i) & self.sig_word(b, i))
-            .collect();
-        self.push_node(out.node(), &words);
-        self.try_merge(out.node());
-        self.resolve(out)
-    }
-
-    /// Offers `node` to its signature class: SAT-checks up to
-    /// `max_candidates` members and either merges or joins the class.
-    fn try_merge(&mut self, node: NodeId) {
-        self.try_merge_bounded(node, self.config.max_checks, true);
-    }
-
-    /// The work of [`Fraiger::try_merge`] under an explicit check cap.
-    /// `count_truncation` is false when the retry pass re-offers a cone
-    /// already counted as truncated. Returns whether the node merged.
-    fn try_merge_bounded(&mut self, node: NodeId, max_checks: u64, count_truncation: bool) -> bool {
-        let mut tried = 0usize;
-        let mut pos = 0usize;
-        while self.stats.sat_checks < max_checks && tried < self.config.max_candidates {
-            if !self.halted && self.governor.poll().is_some() {
-                // Governor tripped: stop issuing SAT work and degrade to
-                // structural reduction. Everything merged so far was
-                // proved, so the partial reduction stays sound.
-                self.halted = true;
-                self.stats.interrupted = true;
-            }
-            if self.halted {
-                break;
-            }
-            // Re-read the class on every step: a refuted check re-buckets
-            // everything, which both drops separated candidates and keeps
-            // this node's key current.
-            let (lit, key) = self.canonical(node);
-            let Some(members) = self.buckets.get(&key) else {
-                break;
-            };
-            let Some(&cand) = members.get(pos) else {
-                break;
-            };
-            pos += 1;
-            let cand = self.resolve(cand);
-            if cand.node() == node {
-                continue;
-            }
-            tried += 1;
-            self.stats.sat_checks += 1;
-            let la = self.encode(lit);
-            let lb = self.encode(cand);
-            let answer = self.oracle.prove_equiv(la, lb, self.config.sat_conflicts);
-            self.governor.note(FaultSite::FraigCheck);
-            match answer {
-                Some(true) => {
-                    // lit ≡ cand, so node ≡ cand ^ lit's phase. Point the
-                    // younger node at the older one so representative
-                    // chains always descend in topological order (the
-                    // retry pass can prove a class member equal to an
-                    // older truncated cone).
-                    self.stats.merges += 1;
-                    self.governor.note(FaultSite::FraigMerge);
-                    if cand.node() == NodeId::FALSE {
-                        self.stats.const_merges += 1;
-                    }
-                    if cand.node().index() < node.index() {
-                        self.repr[node.index()] = if lit.is_inverted() { !cand } else { cand };
-                    } else {
-                        let this = Bit::new(node, lit.is_inverted());
-                        self.repr[cand.node().index()] =
-                            if cand.is_inverted() { !this } else { this };
-                    }
-                    return true;
-                }
-                Some(false) => {
-                    self.stats.refuted += 1;
-                    self.refine();
-                    // The counterexample separates this node from the
-                    // refuted candidate (and possibly others); restart the
-                    // scan of the re-bucketed class.
-                    pos = 0;
-                }
-                None => {
-                    self.stats.unknown += 1;
-                }
-            }
-        }
-        let (lit, key) = self.canonical(node);
-        let class = self.buckets.entry(key).or_default();
-        if class.contains(&lit) {
-            // Already a member (a cone the retry pass re-offered).
-        } else if class.len() < self.config.max_bucket {
-            class.push(lit);
-        } else if count_truncation {
-            // The class is full: this cone was never offered a merge.
-            // Recorded — and remembered for the retry pass — instead of
-            // silently skipped, so the blind spot is visible in the stats
-            // line.
-            self.stats.buckets_truncated += 1;
-            self.truncated.push(node);
-        }
-        false
-    }
-
-    /// Second chance for bucket-cap-truncated cones (the ROADMAP's blind
-    /// spot): after the first pass has merged and refined, classes have
-    /// shrunk or split, so a cone a full class once refused can be
-    /// re-offered. The retry gets its own `max_checks` allowance — the
-    /// first pass may have consumed the original budget. Returns the
-    /// number of merges the retry found.
-    fn retry_truncated(&mut self) -> u64 {
-        if self.truncated.is_empty() || self.halted {
-            return 0;
-        }
-        let cap = self.stats.sat_checks.saturating_add(self.config.max_checks);
-        let mut nodes = std::mem::take(&mut self.truncated);
-        nodes.sort_unstable();
-        nodes.dedup();
-        let before = self.stats.merges;
-        for n in nodes {
-            if self.halted || self.stats.sat_checks >= cap {
-                break;
-            }
-            if self.resolve(Bit::new(n, false)).node() != n {
-                // Merged away since it was refused.
-                continue;
-            }
-            self.stats.truncated_retried += 1;
-            self.try_merge_bounded(n, cap, false);
-        }
-        let found = self.stats.merges - before;
-        self.stats.retry_merges = found;
-        found
-    }
-
-    /// Encodes the cone of a G1 edge into the oracle (memoized) and
-    /// returns its solver literal.
-    fn encode(&mut self, bit: Bit) -> Lit {
-        encode_cone(&self.g1, &mut self.oracle, bit)
-    }
-
-    /// Folds the oracle's distinguishing model back into every signature
-    /// as one fresh pattern, then rebuilds the candidate classes.
-    fn refine(&mut self) {
-        self.stats.cex_patterns += 1;
-        self.stats.sim_patterns += 1;
-        let round = self.stats.cex_patterns;
-        // Assemble a full input pattern: model values where the cone was
-        // encoded, deterministic pseudorandom bits elsewhere.
-        let mut inputs = vec![false; self.g1.num_inputs()];
-        for (id, node) in self.g1.iter() {
-            if let Node::Input(i) = node {
-                let modeled = self
-                    .oracle
-                    .lit(id.index())
-                    .and_then(|l| self.oracle.model_lit(l));
-                inputs[i as usize] = modeled.unwrap_or_else(|| {
-                    mix(self.config.seed
-                        ^ round.wrapping_mul(0x9E3779B97F4A7C15)
-                        ^ id.index() as u64)
-                        & 1
-                        == 1
-                });
-            }
-        }
-        let values = eval_combinational(&self.g1, &inputs);
-        let w = self.config.sim_words;
-        for (n, &value) in values.iter().enumerate() {
-            let word = &mut self.sig[n * w];
-            *word = (*word << 1) | value as u64;
-        }
-        // Re-bucket the candidate classes under the refined signatures.
-        let mut members: Vec<Bit> = self.buckets.drain().flat_map(|(_, v)| v).collect();
-        members.sort_unstable();
-        members.dedup();
-        for m in members {
-            let (lit, key) = self.canonical(m.node());
-            let class = self.buckets.entry(key).or_default();
-            if class.contains(&lit) {
-                continue;
-            }
-            if class.len() < self.config.max_bucket {
-                class.push(lit);
-            } else {
-                self.stats.buckets_truncated += 1;
-                self.truncated.push(lit.node());
-            }
-        }
-    }
-}
-
-/// Runs the fraig pass over a raw graph.
-///
-/// `roots` are the edges whose functions must be preserved (for a design:
-/// next-state functions, properties, constraints, and memory port buses);
-/// everything outside their cones — including cones orphaned by merges —
-/// is dead-stripped from the result. Inputs are always preserved, in
-/// order, so dense input indices survive the rewrite.
-///
-/// # Examples
-///
-/// Absorption (`a ∧ (a ∧ b) ≡ a ∧ b`) creates two structurally distinct
-/// nodes with one function; the pass proves and merges them:
-///
-/// ```
-/// use emm_aig::fraig::{fraig_aig, FraigConfig};
-/// use emm_aig::Aig;
-///
-/// let mut g = Aig::new();
-/// let a = g.new_input();
-/// let b = g.new_input();
-/// let x = g.and(a, b);
-/// let y = g.and(a, x);
-/// let r = fraig_aig(&g, &[x, y], &FraigConfig::default());
-/// assert_eq!(r.map_bit(x), r.map_bit(y));
-/// assert_eq!(r.aig.num_ands(), 1);
-/// ```
-pub fn fraig_aig(aig: &Aig, roots: &[Bit], config: &FraigConfig) -> FraigResult {
-    fraig_aig_governed(aig, roots, config, &ResourceGovernor::unlimited())
-}
-
-/// [`fraig_aig`] under a shared [`ResourceGovernor`].
-///
-/// The governor's deadline and cancellation token are polled once per
-/// candidate offer and inside every oracle call, and
-/// [`FaultSite::FraigCheck`] / [`FaultSite::FraigMerge`] events feed its
-/// fault injector. When the governor trips mid-pass, SAT work stops but
-/// the rebuild finishes structurally: the result is the sound
-/// best-so-far reduction with [`FraigStats::interrupted`] set.
-pub fn fraig_aig_governed(
-    aig: &Aig,
-    roots: &[Bit],
-    config: &FraigConfig,
-    governor: &ResourceGovernor,
-) -> FraigResult {
-    let mut f = Fraiger::new(*config, governor.clone());
-    let w = f.config.sim_words;
-    // Phase A: rebuild in topological order with merge-on-the-fly.
-    let mut map1: Vec<Bit> = Vec::with_capacity(aig.num_nodes());
-    for (_, node) in aig.iter() {
-        let mapped = match node {
-            Node::Const => Aig::FALSE,
-            Node::Input(i) => {
-                let b = f.g1.new_input();
-                let words: Vec<u64> = (0..w)
-                    .map(|k| mix(f.config.seed ^ mix((i as u64) << 8 | k as u64)))
-                    .collect();
-                f.push_node(b.node(), &words);
-                b
-            }
-            Node::And(a, b) => {
-                let fa = apply(&map1, a);
-                let fb = apply(&map1, b);
-                f.build_and(fa, fb)
-            }
-        };
-        map1.push(mapped);
-    }
-    // Second pass over bucket-cap-truncated cones, now that merges and
-    // refinement have shrunk the classes.
-    let retry_merges = f.retry_truncated();
-    let resolved: Vec<Bit> = map1.iter().map(|&b| f.resolve(b)).collect();
-    // Merges found by the retry land *after* fanouts were already rebuilt,
-    // so they don't propagate through G1's structure on their own: when
-    // any landed, rebuild once more with representatives substituted.
-    let (live, pre) = if retry_merges > 0 {
-        let mut g3 = Aig::new();
-        let mut map3: Vec<Bit> = Vec::with_capacity(f.g1.num_nodes());
-        for (id, node) in f.g1.iter() {
-            let rep = f.resolve(Bit::new(id, false));
-            let mapped = if rep.node() != id {
-                // Merged: representative chains descend, so it is built.
-                apply(&map3, rep)
-            } else {
-                match node {
-                    Node::Const => Aig::FALSE,
-                    Node::Input(_) => g3.new_input(),
-                    Node::And(a, b) => {
-                        let ra = apply(&map3, f.resolve(a));
-                        let rb = apply(&map3, f.resolve(b));
-                        g3.and(ra, rb)
-                    }
-                }
-            };
-            map3.push(mapped);
-        }
-        let pre: Vec<Bit> = resolved.iter().map(|&b| apply(&map3, b)).collect();
-        (g3, pre)
-    } else {
-        (std::mem::take(&mut f.g1), resolved)
-    };
-    // Phase B: dead-strip into a compacted graph, preserving input order
-    // and the relative order of surviving nodes (so downstream consumers
-    // that rely on "address cones precede their read port" still hold).
-    let root_nodes: Vec<NodeId> = roots.iter().map(|&r| apply(&pre, r).node()).collect();
-    let (g2, map2) = live.compacted(&root_nodes);
-    // Final edge map: old -> representative -> compacted G2.
-    let map: Vec<Bit> = pre.iter().map(|&b| apply(&map2, b)).collect();
-    let mut stats = f.stats;
-    stats.ands_before = aig.num_ands();
-    stats.ands_after = g2.num_ands();
-    FraigResult {
-        aig: g2,
-        stats,
-        map,
-    }
-}
-
-/// Applies the fraig pass to a whole design in place, rewriting its
-/// combinational core and every stored edge. Returns the pass counters.
-///
-/// The design's interface is untouched: latch order and initial values,
-/// memory modules and port order, property and constraint lists, input
-/// kinds, and dense input indices are all preserved — only the gate
-/// structure between them shrinks. A design that fails
-/// [`Design::check`] is returned unchanged (zeroed stats), since
-/// next-state functions must exist to be preserved.
-pub fn fraig_design(design: &mut Design, config: &FraigConfig) -> FraigStats {
-    fraig_design_governed(design, config, &ResourceGovernor::unlimited())
-}
-
-/// [`fraig_design`] under a shared [`ResourceGovernor`] — see
-/// [`fraig_aig_governed`] for the degradation contract.
-pub fn fraig_design_governed(
-    design: &mut Design,
-    config: &FraigConfig,
-    governor: &ResourceGovernor,
-) -> FraigStats {
-    if design.check().is_err() {
-        return FraigStats::default();
-    }
-    let roots = design.reduction_roots();
-    let FraigResult { aig, stats, map } = fraig_aig_governed(&design.aig, &roots, config, governor);
-    design.replace_aig(aig, &mut |b| apply(&map, b));
-    stats
 }
 
 fn apply(map: &[Bit], bit: Bit) -> Bit {
@@ -692,10 +240,6 @@ fn encode_cone(g: &Aig, oracle: &mut EquivOracle, bit: Bit) -> Lit {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batched class-parallel sweep
-// ---------------------------------------------------------------------------
-
 /// One SAT equivalence check's outcome inside a [`ClassReport`], in the
 /// order the job issued them.
 #[derive(Clone, Debug)]
@@ -720,7 +264,7 @@ pub enum SweepOutcome {
     Unknown,
 }
 
-/// What one candidate-class job of the batched sweep found. Reports are
+/// What one candidate-class job of a sweep round found. Reports are
 /// committed at the round barrier in canonical class order, so the
 /// result is identical at every worker count.
 #[derive(Clone, Debug, Default)]
@@ -791,34 +335,34 @@ fn sig_word_of(sig: &[u64], w: usize, bit: Bit, k: usize) -> u64 {
 }
 
 /// Canonicalizes a node's signature: flips the phase so pattern 0
-/// evaluates to false, as [`Fraiger::canonical`].
+/// (bit 0 of word 0) evaluates to false. Equal functions — up to
+/// complement — then share one key.
 fn canonical_of(sig: &[u64], w: usize, node: NodeId) -> (Bit, Vec<u64>) {
     let bit = Bit::new(node, sig[node.index() * w] & 1 == 1);
     let key = (0..w).map(|k| sig_word_of(sig, w, bit, k)).collect();
     (bit, key)
 }
 
-/// The batched, class-parallel variant of [`fraig_aig_governed`].
+/// Runs the fraig pass over a raw graph (see the [module docs](self)).
 ///
-/// Instead of merging on the fly during the topological rebuild, this
-/// pass alternates **rounds**: bucket all live nodes into candidate
-/// classes by signature, dispatch one job per class to `runner` (each
-/// with its own [`EquivOracle`] and a [forked](ResourceGovernor::fork),
-/// fault-disarmed governor), then commit every job's merges,
-/// counterexample patterns, and fault-injection events at a barrier in
-/// canonical class order. Because jobs are pure functions of the round
-/// snapshot and the commit order is fixed, **the result — graph, map,
-/// and stats — is bit-identical at every worker count**, including
-/// under fault injection: armed faults are replayed against the parent
-/// governor at the barrier, and the commit stream is truncated at the
-/// deterministic trip point.
+/// `roots` are the edges whose functions must be preserved (for a design:
+/// next-state functions, properties, constraints, and memory port buses);
+/// everything outside their cones — including cones orphaned by merges —
+/// is dead-stripped from the result. Inputs are always preserved, in
+/// order, so dense input indices survive the rewrite.
 ///
-/// The schedule differs from [`fraig_aig_governed`]'s (checks are
-/// batched per class rather than interleaved with construction), so
-/// stats and intermediate candidates differ from the classic pass; the
-/// *reduction is equally sound* and the differential suite checks both
-/// engines agree on verdicts.
-pub fn fraig_aig_pooled(
+/// Each round's class jobs run on `runner`, each with its own
+/// [`EquivOracle`] and a [forked](ResourceGovernor::fork), fault-disarmed
+/// governor; merges, counterexample patterns, and fault-injection events
+/// are committed at the barrier in canonical class order. **The result —
+/// graph, map, and stats — is therefore identical at every worker
+/// count**, fault injection included: [`FaultSite::FraigCheck`] /
+/// [`FaultSite::FraigMerge`] events are replayed on `governor` at the
+/// barrier, and the commit stream stops at the deterministic trip point.
+/// When `governor` trips (deadline, cancellation, injected fault), SAT
+/// work stops but the rebuild finishes: the result is the sound
+/// best-so-far reduction with [`FraigStats::interrupted`] set.
+pub fn fraig_aig(
     aig: &Aig,
     roots: &[Bit],
     config: &FraigConfig,
@@ -1014,8 +558,9 @@ pub fn fraig_aig_pooled(
     }
 
     // Substitution rebuild (merges landed after fanouts were built),
-    // then dead-strip into a compacted graph — as the classic pass's
-    // retry path.
+    // then dead-strip into a compacted graph, preserving input order and
+    // the relative order of surviving nodes (so downstream consumers that
+    // rely on "address cones precede their read port" still hold).
     let resolved: Vec<Bit> = map1.iter().map(|&b| chase(&repr, b)).collect();
     let (live, pre) = if stats.merges > 0 {
         let mut g3 = Aig::new();
@@ -1107,11 +652,16 @@ fn sweep_class(
     report
 }
 
-/// [`fraig_design_governed`] on the batched class-parallel pass: applies
-/// [`fraig_aig_pooled`] to a whole design in place. Same interface
-/// contract as [`fraig_design`]; the runner decides the parallelism and
-/// the result is identical for every worker count.
-pub fn fraig_design_pooled(
+/// Applies [`fraig_aig`] to a whole design in place, rewriting its
+/// combinational core and every stored edge. Returns the pass counters.
+///
+/// The design's interface is untouched: latch order and initial values,
+/// memory modules and port order, property and constraint lists, input
+/// kinds, and dense input indices are all preserved — only the gate
+/// structure between them shrinks. A design that fails
+/// [`Design::check`] is returned unchanged (zeroed stats), since
+/// next-state functions must exist to be preserved.
+pub fn fraig_design(
     design: &mut Design,
     config: &FraigConfig,
     governor: &ResourceGovernor,
@@ -1121,8 +671,7 @@ pub fn fraig_design_pooled(
         return FraigStats::default();
     }
     let roots = design.reduction_roots();
-    let FraigResult { aig, stats, map } =
-        fraig_aig_pooled(&design.aig, &roots, config, governor, runner);
+    let FraigResult { aig, stats, map } = fraig_aig(&design.aig, &roots, config, governor, runner);
     design.replace_aig(aig, &mut |b| apply(&map, b));
     stats
 }
@@ -1134,6 +683,17 @@ mod tests {
     use crate::sim::{eval_combinational_words, Simulator};
     use crate::word::Word;
 
+    /// The pass on the inline runner with an unlimited governor.
+    fn sweep(g: &Aig, roots: &[Bit], config: &FraigConfig) -> FraigResult {
+        fraig_aig(
+            g,
+            roots,
+            config,
+            &ResourceGovernor::unlimited(),
+            &SequentialRunner,
+        )
+    }
+
     #[test]
     fn merges_absorbed_variants() {
         let mut g = Aig::new();
@@ -1144,7 +704,7 @@ mod tests {
         // from each other.
         let left = g.and(a, x);
         let right = g.and(x, b);
-        let r = fraig_aig(&g, &[x, left, right], &FraigConfig::default());
+        let r = sweep(&g, &[x, left, right], &FraigConfig::default());
         assert_eq!(r.map_bit(x), r.map_bit(left));
         assert_eq!(r.map_bit(x), r.map_bit(right));
         assert_eq!(r.aig.num_ands(), 1);
@@ -1160,9 +720,9 @@ mod tests {
         let x = g.and(a, b);
         let y = g.and(a, !b);
         let z = g.and(x, y);
-        let r = fraig_aig(&g, &[z], &FraigConfig::default());
+        let r = sweep(&g, &[z], &FraigConfig::default());
         assert_eq!(r.map_bit(z), Aig::FALSE);
-        assert_eq!(r.stats.const_merges, 1);
+        assert!(r.stats.const_merges >= 1);
         assert_eq!(r.aig.num_ands(), 0, "the whole cone dead-strips");
     }
 
@@ -1180,7 +740,7 @@ mod tests {
         for &i in &inputs {
             acc = g.and(acc, i);
         }
-        let r = fraig_aig(&g, &[acc], &FraigConfig::default());
+        let r = sweep(&g, &[acc], &FraigConfig::default());
         assert_ne!(r.map_bit(acc), Aig::FALSE, "not constant");
         assert_eq!(r.aig.num_ands(), 15, "chain preserved");
         assert!(r.stats.refuted >= 1, "candidates were SAT-refuted");
@@ -1204,7 +764,7 @@ mod tests {
         for &i in inputs.iter().rev() {
             right = g.and(right, i);
         }
-        let r = fraig_aig(&g, &[left, right], &FraigConfig::default());
+        let r = sweep(&g, &[left, right], &FraigConfig::default());
         assert_eq!(
             r.map_bit(left),
             r.map_bit(right),
@@ -1215,7 +775,7 @@ mod tests {
 
     #[test]
     fn signatures_match_bit_parallel_simulation() {
-        // The incremental signatures must agree with a from-scratch
+        // The seeded input patterns must agree with a from-scratch
         // word-parallel evaluation of the reduced graph.
         let config = FraigConfig::default();
         let mut g = Aig::new();
@@ -1224,7 +784,7 @@ mod tests {
         let c = g.new_input();
         let x = g.and(a, b);
         let y = g.and(x, !c);
-        let r = fraig_aig(&g, &[y], &config);
+        let r = sweep(&g, &[y], &config);
         let w = config.sim_words;
         let inputs: Vec<u64> = (0..r.aig.num_inputs())
             .flat_map(|i| (0..w).map(move |k| mix(config.seed ^ mix((i as u64) << 8 | k as u64))))
@@ -1254,22 +814,19 @@ mod tests {
         let b = g.new_input();
         let x = g.and(a, b);
         let y = g.and(a, x);
-        let r = fraig_aig(
-            &g,
-            &[x, y],
-            &FraigConfig {
-                max_checks: 0,
-                ..FraigConfig::default()
-            },
-        );
+        let config = FraigConfig {
+            max_checks: 0,
+            ..FraigConfig::default()
+        };
+        let r = sweep(&g, &[x, y], &config);
         assert_eq!(r.stats.sat_checks, 0);
         assert_ne!(r.map_bit(x), r.map_bit(y), "no proof, no merge");
         assert_eq!(r.aig.num_ands(), 2);
     }
 
-    /// Pin the bucket-cap counter: with `max_bucket: 1` and no SAT budget,
-    /// every signature-equal node after the first is refused by its class
-    /// and must be counted, not silently skipped.
+    /// Pin the bucket-cap counter: with `max_bucket: 1` no class reaches
+    /// two members, so every signature-equal node after the first is
+    /// refused by its class and must be counted, not silently skipped.
     #[test]
     fn bucket_cap_truncations_are_counted() {
         let mut g = Aig::new();
@@ -1281,52 +838,45 @@ mod tests {
         let right = g.and(x, b);
         let config = FraigConfig {
             max_bucket: 1,
-            max_checks: 0,
             ..FraigConfig::default()
         };
-        let r = fraig_aig(&g, &[x, left, right], &config);
-        assert_eq!(r.stats.merges, 0, "no checks, no merges");
+        let r = sweep(&g, &[x, left, right], &config);
+        assert_eq!(r.stats.sat_checks, 0, "no class of two, no checks");
+        assert_eq!(r.stats.merges, 0);
         assert_eq!(
             r.stats.buckets_truncated, 2,
             "left and right both hit the full class"
         );
         // An uncapped run of the same graph records no truncation.
-        let r = fraig_aig(&g, &[x, left, right], &FraigConfig::default());
+        let r = sweep(&g, &[x, left, right], &FraigConfig::default());
         assert_eq!(r.stats.buckets_truncated, 0);
     }
 
-    /// Satellite: cones refused by a full class are re-offered after the
-    /// first pass once merges have landed — and a late merge propagates
-    /// through already-built fanouts via the substitution rebuild.
+    /// A cone refused by a full class stays a live representative and is
+    /// re-bucketed in the next round, where the merges just committed
+    /// have shrunk the class: a bucket-cap-truncated cone still merges —
+    /// one round later.
     #[test]
-    fn truncated_cones_are_retried_after_merges() {
+    fn truncated_cones_merge_in_a_later_round() {
         let mut g = Aig::new();
         let a = g.new_input();
         let b = g.new_input();
-        let c = g.new_input();
-        let d = g.new_input();
-        let e = g.new_input();
         let x = g.and(a, b);
-        let y = g.and(a, x); // ≡ x, costs check 1
-        let z = g.and(x, b); // ≡ x, costs check 2 — budget now spent
-        let u = g.and(c, d);
-        let v = g.and(c, u); // ≡ u, but no checks left: truncated
-        let t = g.and(v, e); // fanout of the truncated cone
+        let left = g.and(a, x); // ≡ x, same signature
+        let right = g.and(x, b); // ≡ x, refused by the capped class
         let config = FraigConfig {
-            max_bucket: 1,
-            max_checks: 2,
+            max_bucket: 2,
             ..FraigConfig::default()
         };
-        let r = fraig_aig(&g, &[x, y, z, u, v, t], &config);
-        assert_eq!(r.stats.merges, 3);
-        assert_eq!(r.stats.buckets_truncated, 1, "v hit u's full class");
-        assert_eq!(r.stats.truncated_retried, 1);
-        assert_eq!(r.stats.retry_merges, 1, "the retry pass proved v ≡ u");
-        assert_eq!(r.map_bit(v), r.map_bit(u));
-        assert_eq!(r.map_bit(y), r.map_bit(x));
-        // The substitution rebuild redirects t's fanin to u's node and
-        // dead-strips v's cone: exactly x, u, t survive.
-        assert_eq!(r.aig.num_ands(), 3);
+        let r = sweep(&g, &[x, left, right], &config);
+        assert_eq!(
+            r.stats.buckets_truncated, 1,
+            "round 1 capped x's class at two members"
+        );
+        assert_eq!(r.stats.merges, 2, "the re-offered cone merged in round 2");
+        assert_eq!(r.map_bit(left), r.map_bit(x));
+        assert_eq!(r.map_bit(right), r.map_bit(x));
+        assert_eq!(r.aig.num_ands(), 1);
     }
 
     /// A cancelled governor degrades the pass to pure structural
@@ -1340,7 +890,13 @@ mod tests {
         let y = g.and(a, x);
         let governor = ResourceGovernor::unlimited();
         governor.cancel();
-        let r = fraig_aig_governed(&g, &[x, y], &FraigConfig::default(), &governor);
+        let r = fraig_aig(
+            &g,
+            &[x, y],
+            &FraigConfig::default(),
+            &governor,
+            &SequentialRunner,
+        );
         assert!(r.stats.interrupted);
         assert_eq!(r.stats.sat_checks, 0, "no SAT work under cancellation");
         assert_eq!(r.stats.merges, 0);
@@ -1349,8 +905,10 @@ mod tests {
     }
 
     /// The deterministic fault injector stops the pass right after the
-    /// Nth equivalence check: everything proved before the trip stays
-    /// merged, everything after degrades structurally.
+    /// Nth committed equivalence check: the fault is replayed at the
+    /// barrier, so two runs trip at the same check, everything proved
+    /// before the trip stays merged, and later classes degrade
+    /// structurally.
     #[test]
     fn fault_injection_halts_after_nth_fraig_check() {
         let mut g = Aig::new();
@@ -1359,18 +917,34 @@ mod tests {
         let c = g.new_input();
         let d = g.new_input();
         let x = g.and(a, b);
-        let y = g.and(a, x); // check 1: proves and merges
+        let y = g.and(a, x); // x's class, check 1: proves and merges
         let u = g.and(c, d);
-        let v = g.and(c, u); // check 2: proves, then the fault trips
-        let w = g.and(x, b); // would be check 3 — never issued
-        let governor = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
-        let r = fraig_aig_governed(&g, &[x, y, u, v, w], &FraigConfig::default(), &governor);
+        let v = g.and(c, u); // u's class, committed after x's: never checked
+        let w = g.and(x, b); // x's class, check 2: proves, then the fault trips
+        let roots = [x, y, u, v, w];
+        let run = || {
+            let governor = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
+            fraig_aig(
+                &g,
+                &roots,
+                &FraigConfig::default(),
+                &governor,
+                &SequentialRunner,
+            )
+        };
+        let r = run();
         assert_eq!(r.stats.sat_checks, 2, "halted right after the 2nd check");
         assert_eq!(r.stats.merges, 2, "both completed checks proved");
         assert!(r.stats.interrupted);
         assert_eq!(r.map_bit(x), r.map_bit(y));
-        assert_eq!(r.map_bit(u), r.map_bit(v));
-        assert_ne!(r.map_bit(w), r.map_bit(x), "post-trip cone left unmerged");
+        assert_eq!(r.map_bit(x), r.map_bit(w));
+        assert_ne!(r.map_bit(u), r.map_bit(v), "post-trip class left unmerged");
+        let again = run();
+        assert_eq!(r.stats, again.stats);
+        assert_eq!(r.aig.num_ands(), again.aig.num_ands());
+        for &root in &roots {
+            assert_eq!(r.map_bit(root), again.map_bit(root));
+        }
     }
 
     #[test]
@@ -1396,7 +970,12 @@ mod tests {
         d.check().expect("valid");
 
         let mut fraiged = d.clone();
-        let stats = fraig_design(&mut fraiged, &FraigConfig::default());
+        let stats = fraig_design(
+            &mut fraiged,
+            &FraigConfig::default(),
+            &ResourceGovernor::unlimited(),
+            &SequentialRunner,
+        );
         assert!(stats.ands_after <= stats.ands_before);
         fraiged.check().expect("still well-formed");
         assert_eq!(fraiged.num_latches(), d.num_latches());
@@ -1424,183 +1003,13 @@ mod tests {
         let mut d = Design::new();
         d.new_latch("dangling", LatchInit::Zero);
         let gates = d.num_gates();
-        let stats = fraig_design(&mut d, &FraigConfig::default());
+        let stats = fraig_design(
+            &mut d,
+            &FraigConfig::default(),
+            &ResourceGovernor::unlimited(),
+            &SequentialRunner,
+        );
         assert_eq!(stats, FraigStats::default());
         assert_eq!(d.num_gates(), gates);
-    }
-
-    #[test]
-    fn pooled_sweep_merges_absorbed_variants() {
-        let mut g = Aig::new();
-        let a = g.new_input();
-        let b = g.new_input();
-        let x = g.and(a, b);
-        let left = g.and(a, x);
-        let right = g.and(x, b);
-        let r = fraig_aig_pooled(
-            &g,
-            &[x, left, right],
-            &FraigConfig::default(),
-            &ResourceGovernor::unlimited(),
-            &SequentialRunner,
-        );
-        assert_eq!(r.map_bit(x), r.map_bit(left));
-        assert_eq!(r.map_bit(x), r.map_bit(right));
-        assert_eq!(r.aig.num_ands(), 1);
-        assert_eq!(r.stats.merges, 2);
-    }
-
-    #[test]
-    fn pooled_sweep_detects_constant_cones() {
-        let mut g = Aig::new();
-        let a = g.new_input();
-        let b = g.new_input();
-        let x = g.and(a, b);
-        let y = g.and(a, !b);
-        let z = g.and(x, y);
-        let r = fraig_aig_pooled(
-            &g,
-            &[z],
-            &FraigConfig::default(),
-            &ResourceGovernor::unlimited(),
-            &SequentialRunner,
-        );
-        assert_eq!(r.map_bit(z), Aig::FALSE);
-        assert!(r.stats.const_merges >= 1);
-        assert_eq!(r.aig.num_ands(), 0);
-    }
-
-    #[test]
-    fn pooled_sweep_never_merges_across_a_real_counterexample() {
-        let mut g = Aig::new();
-        let inputs: Vec<Bit> = (0..16).map(|_| g.new_input()).collect();
-        let mut acc = Aig::TRUE;
-        for &i in &inputs {
-            acc = g.and(acc, i);
-        }
-        let r = fraig_aig_pooled(
-            &g,
-            &[acc],
-            &FraigConfig::default(),
-            &ResourceGovernor::unlimited(),
-            &SequentialRunner,
-        );
-        assert_ne!(r.map_bit(acc), Aig::FALSE);
-        assert_eq!(r.aig.num_ands(), 15);
-        assert!(r.stats.refuted >= 1);
-        assert_eq!(r.stats.merges, 0);
-    }
-
-    #[test]
-    fn pooled_design_preserves_cycle_semantics() {
-        let mut d = Design::new();
-        let mem = d.add_memory("m", 3, 4, MemInit::Zero);
-        let ptr = d.new_latch_word("ptr", 3, LatchInit::Zero);
-        let next = d.aig.inc(&ptr);
-        d.set_next_word(&ptr, &next);
-        let wd = d.new_input_word("wd", 4);
-        let we = d.new_input("we");
-        d.add_write_port(mem, ptr.clone(), we, wd.clone());
-        let rd = d.add_read_port(mem, ptr.clone(), Aig::TRUE);
-        let hit1 = d.aig.eq_word(&rd, &wd);
-        let diff = d.aig.word_xor(&rd, &wd);
-        let any_diff = d.aig.redor(&diff);
-        let both = d.aig.and(hit1, !any_diff);
-        d.add_property("p", both);
-        d.check().expect("valid");
-
-        let mut pooled = d.clone();
-        let stats = fraig_design_pooled(
-            &mut pooled,
-            &FraigConfig::default(),
-            &ResourceGovernor::unlimited(),
-            &SequentialRunner,
-        );
-        assert!(stats.ands_after <= stats.ands_before);
-        pooled.check().expect("still well-formed");
-
-        let mut sim_a = Simulator::new(&d);
-        let mut sim_b = Simulator::new(&pooled);
-        let mut state = 0x0F1E_2D3C_4B5A_6978u64;
-        for cycle in 0..40 {
-            state = mix(state);
-            let inputs: Vec<bool> = (0..d.free_inputs().len())
-                .map(|i| (state >> i) & 1 == 1)
-                .collect();
-            let ra = sim_a.step(&inputs);
-            let rb = sim_b.step(&inputs);
-            assert_eq!(ra.property_bad, rb.property_bad, "cycle {cycle}");
-        }
-    }
-
-    /// The pooled sweep's determinism contract under fault injection:
-    /// the armed fault is replayed at the barrier, so two runs trip at
-    /// the same committed check and produce identical stats and graphs.
-    #[test]
-    fn pooled_fault_injection_is_deterministic() {
-        let mut g = Aig::new();
-        let a = g.new_input();
-        let b = g.new_input();
-        let c = g.new_input();
-        let d = g.new_input();
-        let x = g.and(a, b);
-        let y = g.and(a, x);
-        let u = g.and(c, d);
-        let v = g.and(c, u);
-        let w = g.and(x, b);
-        let roots = [x, y, u, v, w];
-        let run = || {
-            let governor = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
-            fraig_aig_pooled(
-                &g,
-                &roots,
-                &FraigConfig::default(),
-                &governor,
-                &SequentialRunner,
-            )
-        };
-        let r1 = run();
-        let r2 = run();
-        assert_eq!(r1.stats, r2.stats);
-        assert_eq!(r1.stats.sat_checks, 2, "committed exactly up to the trip");
-        assert!(r1.stats.interrupted);
-        assert_eq!(r1.aig.num_ands(), r2.aig.num_ands());
-        for &r in &roots {
-            assert_eq!(r1.map_bit(r), r2.map_bit(r));
-        }
-    }
-
-    /// The pooled rounds path has no explicit retry pass: a cone refused
-    /// by a full class stays a live representative and is re-bucketed in
-    /// the next round, where the merges just committed have shrunk the
-    /// class. Pin that a bucket-cap-truncated cone still merges — one
-    /// round later.
-    #[test]
-    fn pooled_truncated_cones_merge_in_a_later_round() {
-        let mut g = Aig::new();
-        let a = g.new_input();
-        let b = g.new_input();
-        let x = g.and(a, b);
-        let left = g.and(a, x); // ≡ x, same signature
-        let right = g.and(x, b); // ≡ x, refused by the capped class
-        let config = FraigConfig {
-            max_bucket: 2,
-            ..FraigConfig::default()
-        };
-        let r = fraig_aig_pooled(
-            &g,
-            &[x, left, right],
-            &config,
-            &ResourceGovernor::unlimited(),
-            &SequentialRunner,
-        );
-        assert_eq!(
-            r.stats.buckets_truncated, 1,
-            "round 1 capped x's class at two members"
-        );
-        assert_eq!(r.stats.merges, 2, "the re-offered cone merged in round 2");
-        assert_eq!(r.map_bit(left), r.map_bit(x));
-        assert_eq!(r.map_bit(right), r.map_bit(x));
-        assert_eq!(r.aig.num_ands(), 1);
     }
 }

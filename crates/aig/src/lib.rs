@@ -18,8 +18,10 @@
 //! * [`fraig`] — a functionally-reduced-AIG pass (simulate / prove /
 //!   refine) that merges equivalent cones *before* Tseitin encoding: every
 //!   node carries a multi-word random-simulation signature, signature
-//!   classes are confirmed by bounded incremental SAT checks
-//!   ([`emm_sat::EquivOracle`]), refutation models are folded back into
+//!   classes are confirmed in rounds of bounded SAT checks (one
+//!   [`emm_sat::EquivOracle`] per class job, run on a [`SweepRunner`] and
+//!   committed at a barrier in canonical order, so the result is the same
+//!   at every worker count), refutation models are folded back into
 //!   the signatures as guided patterns, and a final rewrite redirects
 //!   fanouts to class representatives and dead-strips merged cones. Knobs
 //!   live in [`FraigConfig`]; the BMC engine runs it by default.
@@ -80,8 +82,7 @@ pub use design::{
     PropertyId, ReadPort, WritePort,
 };
 pub use fraig::{
-    fraig_aig, fraig_aig_governed, fraig_aig_pooled, fraig_design, fraig_design_governed,
-    fraig_design_pooled, ClassReport, FraigConfig, FraigResult, FraigStats, SequentialRunner,
+    fraig_aig, fraig_design, ClassReport, FraigConfig, FraigResult, FraigStats, SequentialRunner,
     SweepOutcome, SweepRunner, SweepTask,
 };
 pub use rewrite::{

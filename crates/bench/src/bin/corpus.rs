@@ -44,8 +44,9 @@ use std::time::{Duration, Instant};
 use emm_aig::aiger::{write_aiger_ascii, write_aiger_binary};
 use emm_aig::btor2::write_btor2;
 use emm_aig::Design;
+use emm_bench::verdict_name;
 use emm_bmc::{
-    BmcEngine, BmcVerdict, KInduction, ModelSource, VerificationServer, VerifyBudget, VerifyOptions,
+    BmcEngine, KInduction, ModelSource, VerificationServer, VerifyBudget, VerifyOptions,
 };
 use emm_core::explicit_model;
 use emm_designs::fifo::{Fifo, FifoConfig};
@@ -65,16 +66,6 @@ fn arg_value(name: &str) -> Option<String> {
 
 fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
-}
-
-fn verdict_name(v: &BmcVerdict) -> String {
-    match v {
-        BmcVerdict::Proof { depth, .. } => format!("proof@{depth}"),
-        BmcVerdict::Counterexample(t) => format!("cex@{}", t.depth()),
-        BmcVerdict::BoundReached => "bound".into(),
-        BmcVerdict::Proved { k } => format!("proved@{k}"),
-        BmcVerdict::Unknown { reason, .. } => format!("unknown:{}", reason.as_str()),
-    }
 }
 
 struct Row {

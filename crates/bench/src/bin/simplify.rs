@@ -6,12 +6,11 @@
 //!
 //! For every workload the same property is checked once per mode — the
 //! naive seed encoding (`SimplifyConfig::disabled`), the simplifying sink
-//! (default config), the sink plus encode-time SAT sweeping, the
-//! AIG-level fraig pass on top of the default sink, cut-based rewriting
-//! ahead of fraig (the engine default, k = 4 cuts with global
-//! selection), wide-cut rewriting (`RewriteConfig::wide()`: k = 6
-//! cuts, `u64` truth tables) ahead of fraig, the `incremental`
-//! solver-lifecycle row (the sweeping sink solved bound-to-bound on one
+//! (default config), the AIG-level fraig pass on top of the default sink,
+//! cut-based rewriting ahead of fraig (the engine default, k = 4 cuts
+//! with global selection), wide-cut rewriting (`RewriteConfig::wide()`:
+//! k = 6 cuts, `u64` truth tables) ahead of fraig, the `incremental`
+//! solver-lifecycle row (the default sink solved bound-to-bound on one
 //! long-lived solver with clause retirement, against a
 //! restart-from-scratch leg of the same configuration), and the
 //! `kinduction` row (the unbounded engine's interleaved base case and
@@ -19,7 +18,7 @@
 //! counts, and step-group retirement totals) — recording solver
 //! variable/clause counts at the deepest checked frame, wall time
 //! (per-bound for the incremental pair and the k loop), retired-clause
-//! totals, and the layers' cache / sweep / fraig / rewrite counters.
+//! totals, and the layers' cache / fraig / rewrite counters.
 //!
 //! A final `server` section measures `VerificationServer` batch
 //! throughput (jobs/sec) at pool sizes 1, 2, and 4 on the quicksort
@@ -37,7 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use emm_aig::{FraigConfig, RewriteConfig};
-use emm_bench::secs;
+use emm_bench::{secs, verdict_name};
 use emm_bmc::{
     BmcEngine, BmcOptions, BmcVerdict, KInduction, VerificationServer, VerifyBudget, VerifyOptions,
     VerifyRequest,
@@ -128,8 +127,8 @@ impl InprocessCounters {
 /// retirement totals and the per-bound wall-clock comparison against the
 /// restart-from-scratch baseline (same config, `incremental: false`).
 struct IncrementalExtras {
-    /// Clauses physically retired by the anchored solver (sweep-merged
-    /// Tseitin triples + refuted per-bound property clauses).
+    /// Clauses physically retired by the anchored solver (refuted
+    /// per-bound property clauses).
     retired_clauses: u64,
     /// The property-clause share of `retired_clauses`.
     property_clauses_retired: u64,
@@ -145,16 +144,6 @@ struct IncrementalExtras {
     inprocess: InprocessCounters,
 }
 
-fn verdict_name(v: &BmcVerdict) -> String {
-    match v {
-        BmcVerdict::Proof { depth, .. } => format!("proof@{depth}"),
-        BmcVerdict::Counterexample(t) => format!("cex@{}", t.depth()),
-        BmcVerdict::BoundReached => "bound".into(),
-        BmcVerdict::Proved { k } => format!("proved@{k}"),
-        BmcVerdict::Unknown { reason, .. } => format!("unknown:{}", reason.as_str()),
-    }
-}
-
 /// The exhaustion reason alone, for the dedicated JSON field — lets
 /// `bench_check` and ad-hoc tooling distinguish a deadline trip from a
 /// conflict-cap or memory-ceiling trip without parsing the verdict.
@@ -165,15 +154,13 @@ fn exhaustion_name(v: &BmcVerdict) -> Option<String> {
     }
 }
 
-/// The eight measured encoder configurations.
+/// The seven measured encoder configurations.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// The seed encoding: no sink layer, no comparator cache, no fraig.
     Naive,
     /// The PR-1 sink: hashing + folding + lazy emission + cmp cache.
     Simplified,
-    /// The sink plus encode-time SAT sweeping.
-    SimplifiedSweep,
     /// AIG-level fraiging before unrolling, on top of the default sink.
     Fraig,
     /// The engine default: cut-based rewriting (k = 4, global
@@ -182,15 +169,14 @@ enum Mode {
     /// Wide-cut rewriting (`RewriteConfig::wide()`: k = 6 cuts over
     /// `u64` truth tables), then fraiging, then the default sink.
     Rewrite6Fraig,
-    /// The sweeping sink measured as a *solver lifecycle* row: one
+    /// The default sink measured as a *solver lifecycle* row: one
     /// long-lived solver across the bound loop with per-bound property
-    /// clauses retired on refutation and sweep-merged Tseitin triples
-    /// physically deleted, against a restart-from-scratch leg of the
-    /// same configuration (verdicts must agree; per-bound wall clock is
-    /// the headline number).
+    /// clauses retired on refutation, against a restart-from-scratch leg
+    /// of the same configuration (verdicts must agree; per-bound wall
+    /// clock is the headline number).
     Incremental,
     /// The k-induction engine as its own lifecycle row: interleaved
-    /// base case and floating inductive step on the sweeping sink, with
+    /// base case and floating inductive step on the default sink, with
     /// per-depth step clauses retired through activation groups. The
     /// quicksort loop counter keeps the recurrence diameter far beyond
     /// the sort bound, so induction honestly reports `bound` on these
@@ -200,10 +186,9 @@ enum Mode {
 }
 
 impl Mode {
-    const ALL: [Mode; 8] = [
+    const ALL: [Mode; 7] = [
         Mode::Naive,
         Mode::Simplified,
-        Mode::SimplifiedSweep,
         Mode::Fraig,
         Mode::RewriteFraig,
         Mode::Rewrite6Fraig,
@@ -215,7 +200,6 @@ impl Mode {
         match self {
             Mode::Naive => "naive",
             Mode::Simplified => "simplified",
-            Mode::SimplifiedSweep => "simplified_sweep",
             Mode::Fraig => "fraig",
             Mode::RewriteFraig => "rewrite_fraig",
             Mode::Rewrite6Fraig => "rewrite6_fraig",
@@ -238,7 +222,6 @@ fn run_one(
         Mode::Simplified | Mode::Fraig | Mode::RewriteFraig | Mode::Rewrite6Fraig => {
             SimplifyConfig::default()
         }
-        Mode::SimplifiedSweep => SimplifyConfig::sweeping(),
         Mode::Incremental => unreachable!("dispatched to run_incremental"),
         Mode::Kinduction => unreachable!("dispatched to run_kinduction"),
     };
@@ -300,7 +283,7 @@ fn run_one(
     }
 }
 
-/// The `incremental` mode: the sweeping configuration solved
+/// The `incremental` mode: the default sink solved
 /// bound-to-bound on one long-lived solver per context, then the same
 /// configuration again with `incremental: false` (every bound re-encodes
 /// and re-solves from scratch). The row's headline counts come from the
@@ -317,7 +300,6 @@ fn run_incremental(
         // The restart leg is deliberately quadratic; give it headroom so
         // the comparison ends in matching verdicts, not a timeout.
         wall_limit: Some(if incremental { timeout } else { timeout * 5 }),
-        simplify: SimplifyConfig::sweeping(),
         fraig: FraigConfig::disabled(),
         rewrite: RewriteConfig::disabled(),
         incremental,
@@ -362,7 +344,7 @@ fn run_incremental(
     }
 }
 
-/// The `kinduction` mode: the [`KInduction`] engine on the sweeping
+/// The `kinduction` mode: the [`KInduction`] engine on the default
 /// configuration, base case and floating inductive step interleaved up
 /// to a fixed depth cap. The headline `vars`/`clauses` come
 /// from the base-case solver (comparable to the anchored rows); the
@@ -376,12 +358,7 @@ fn run_kinduction(
     timeout: Duration,
 ) -> RunRecord {
     let started = Instant::now();
-    let mut engine = KInduction::new(
-        design,
-        VerifyOptions::default()
-            .simplify(SimplifyConfig::sweeping())
-            .wall_limit(Some(timeout)),
-    );
+    let mut engine = KInduction::new(design, VerifyOptions::default().wall_limit(Some(timeout)));
     let run = engine.check(prop, max_k).expect("bench run");
     let elapsed = started.elapsed();
     let (vars, solver_stats) = engine.base().solver_stats();
@@ -448,23 +425,16 @@ fn json_record(r: &RunRecord) -> String {
                 s,
                 ", \"simplify\": {{\"gate_queries\": {}, \"folded\": {}, \
                  \"cache_hits\": {}, \"gates_created\": {}, \"gates_emitted\": {}, \
-                 \"gates_elided\": {}, \"sweep_checks\": {}, \"sweep_merges\": {}, \
-                 \"sweep_refuted\": {}, \"clauses_dropped\": {}, \
-                 \"literals_stripped\": {}, \"clauses_retired\": {}, \
-                 \"interrupted\": {}}}",
+                 \"gates_elided\": {}, \"clauses_dropped\": {}, \
+                 \"literals_stripped\": {}}}",
                 st.gate_queries,
                 st.folded,
                 st.cache_hits,
                 st.gates_created,
                 st.gates_emitted,
                 st.gates_elided(),
-                st.sweep_checks,
-                st.sweep_merges,
-                st.sweep_refuted,
                 st.clauses_dropped,
                 st.literals_stripped,
-                st.clauses_retired,
-                st.interrupted,
             )
             .expect("write");
         }
@@ -478,7 +448,6 @@ fn json_record(r: &RunRecord) -> String {
                  \"merges\": {}, \"const_merges\": {}, \"structural_merges\": {}, \
                  \"sat_checks\": {}, \"refuted\": {}, \"unknown\": {}, \
                  \"cex_patterns\": {}, \"buckets_truncated\": {}, \
-                 \"truncated_retried\": {}, \"retry_merges\": {}, \
                  \"interrupted\": {}}}",
                 st.ands_before,
                 st.ands_after,
@@ -490,8 +459,6 @@ fn json_record(r: &RunRecord) -> String {
                 st.unknown,
                 st.cex_patterns,
                 st.buckets_truncated,
-                st.truncated_retried,
-                st.retry_merges,
                 st.interrupted,
             )
             .expect("write");

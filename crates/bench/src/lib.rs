@@ -21,6 +21,8 @@
 
 use std::time::Duration;
 
+use emm_bmc::BmcVerdict;
+
 /// Formats a duration like the paper's tables (seconds, one decimal).
 pub fn secs(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64())
@@ -32,6 +34,19 @@ pub fn time_or_timeout(d: Duration, finished: bool, limit: Duration) -> String {
         secs(d)
     } else {
         format!(">{}", limit.as_secs())
+    }
+}
+
+/// The bench rows' verdict string: `proof@D`, `proved@k`, `bound`,
+/// `unknown:<reason>`, or `cex@B` where `B` is the bound index of the
+/// violation (trace length − 1), so it equals the row's `depth` field.
+pub fn verdict_name(v: &BmcVerdict) -> String {
+    match v {
+        BmcVerdict::Proof { depth, .. } => format!("proof@{depth}"),
+        BmcVerdict::Counterexample(t) => format!("cex@{}", t.depth().saturating_sub(1)),
+        BmcVerdict::BoundReached => "bound".into(),
+        BmcVerdict::Proved { k } => format!("proved@{k}"),
+        BmcVerdict::Unknown { reason, .. } => format!("unknown:{}", reason.as_str()),
     }
 }
 

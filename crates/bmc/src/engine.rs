@@ -53,13 +53,11 @@
 //! The layer interns structurally identical gates across frames, folds
 //! constants, and defers a gate's Tseitin clauses until something actually
 //! references it (a dynamic cone-of-influence reduction at the literal
-//! level); SAT sweeping of simulation-signature-equal cones is available
-//! as an opt-in pass (`SimplifyConfig::sweeping`). Literals
-//! handed to the solver as *assumptions* bypass `add_clause`, so the
-//! engine materializes them first (see `Ctx::assumption`). Disable or
-//! tune the layer through [`BmcOptions::simplify`]; its effect is
-//! observable via [`BmcEngine::simplify_stats`] and
-//! [`BmcEngine::solver_stats`].
+//! level). Literals handed to the solver as *assumptions* bypass
+//! `add_clause`, so the engine materializes them first (see
+//! `Ctx::assumption`). Disable or tune the layer through
+//! [`BmcOptions::simplify`]; its effect is observable via
+//! [`BmcEngine::simplify_stats`] and [`BmcEngine::solver_stats`].
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -121,8 +119,8 @@ pub struct BmcOptions {
     /// check reports which of them the refutation used.
     pub pba_discovery: bool,
     /// Circuit simplification on the unrolled formula (structural hashing,
-    /// SAT sweeping, lazy emission); see [`emm_sat::simplify`]. Enabled by
-    /// default; use [`SimplifyConfig::disabled`] for the naive encoding.
+    /// lazy emission); see [`emm_sat::simplify`]. Enabled by default; use
+    /// [`SimplifyConfig::disabled`] for the naive encoding.
     pub simplify: SimplifyConfig,
     /// AIG-level fraiging of the design before any unrolling (see
     /// [`emm_aig::fraig`]): functionally equivalent cones are merged once,
@@ -206,8 +204,8 @@ pub struct BmcOptions {
     /// propagation caps, a solver memory ceiling, and a shared
     /// cooperative cancellation token, threaded through every stage —
     /// the rewrite and fraig preprocessing in [`BmcEngine::new`], the
-    /// simplifying sink's SAT sweeper, the EMM constraint encoder, the
-    /// frame unrolling loop, and both incremental solvers. A trip
+    /// EMM constraint encoder, the frame unrolling loop, and both
+    /// incremental solvers. A trip
     /// anywhere degrades gracefully: preprocessing returns its
     /// best-so-far reduction (with `interrupted` stats), and `check`
     /// returns [`BmcVerdict::Unknown`] naming the reason and the
@@ -445,8 +443,8 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    /// Prepares `lit` for use as a solve assumption: resolves sweep
-    /// substitutions and emits any still-lazy defining clauses.
+    /// Prepares `lit` for use as a solve assumption: emits any
+    /// still-lazy defining clauses.
     pub(crate) fn assumption(&mut self, lit: Lit) -> Lit {
         match &mut self.simplify {
             Some(simp) => simp.attach(&mut self.solver).materialize(lit),
@@ -498,7 +496,7 @@ pub struct BmcEngine<'d> {
     proofs_prop: Option<usize>,
     /// The governor in force: [`BmcOptions::governor`] with the current
     /// `check` call's wall-limit deadline min-combined in. Installed on
-    /// every context's solver, sweeper and EMM encoder.
+    /// every context's solver and EMM encoder.
     governor: ResourceGovernor,
     /// Wall time of the preprocessing phases (run once, in `new`).
     rewrite_seconds: f64,
@@ -544,8 +542,7 @@ impl<'d> BmcEngine<'d> {
     pub fn new(design: &'d Design, options: impl Into<VerifyOptions>) -> BmcEngine<'d> {
         let options = options.into();
         // Preprocessing pipeline on a private copy: rewrite → fraig (see
-        // [`ReducedModel::reduce`] for the ordering and the parallel
-        // sweep selection).
+        // [`ReducedModel::reduce`] for the ordering).
         let reduced = ReducedModel::reduce(
             design,
             &options.pipeline.rewrite,
@@ -635,11 +632,11 @@ impl<'d> BmcEngine<'d> {
     ) -> Ctx {
         let mut solver = Solver::with_config(options.pipeline.solver.clone());
         solver.set_governor(governor.clone());
-        let mut simplify = options.pipeline.simplify.enabled.then(|| {
-            let mut s = Simplifier::new(options.pipeline.simplify);
-            s.set_governor(governor.clone());
-            s
-        });
+        let mut simplify = options
+            .pipeline
+            .simplify
+            .enabled
+            .then(|| Simplifier::new(options.pipeline.simplify));
         let unroll_config = UnrollConfig {
             initial_state: anchored,
             latch_selectors: options.pba_discovery && anchored,
@@ -740,16 +737,14 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// Per-bound property clauses physically retired after their bound was
-    /// refuted. Together with the sweep-retired Tseitin clauses counted in
-    /// [`SimplifyStats::clauses_retired`](emm_sat::SimplifyStats) this
-    /// accounts for every retirement the anchored solver reports in
-    /// [`emm_sat::SolverStats::retired_clauses`].
+    /// refuted. This accounts for every retirement the anchored solver
+    /// reports in [`emm_sat::SolverStats::retired_clauses`].
     pub fn property_clauses_retired(&self) -> u64 {
         self.prop_clauses_retired
     }
 
     /// Replaces the pipeline governor on the engine and on every live
-    /// context (solvers, sweepers, EMM encoders). This is how a run that
+    /// context (solvers, EMM encoders). This is how a run that
     /// ended in [`BmcVerdict::Unknown`] is resumed: install a governor
     /// with raised (or no) limits and call [`BmcEngine::check`] again —
     /// in incremental mode the cleanly refuted bounds are skipped, not
@@ -766,14 +761,10 @@ impl<'d> BmcEngine<'d> {
         &self.governor
     }
 
-    /// Installs `self.governor` on both contexts' solver, sweeper and
-    /// EMM encoder.
+    /// Installs `self.governor` on both contexts' solver and EMM encoder.
     fn install_governor(&mut self) {
         for ctx in std::iter::once(&mut self.anchored).chain(self.floating.as_mut()) {
             ctx.solver.set_governor(self.governor.clone());
-            if let Some(simp) = &mut ctx.simplify {
-                simp.set_governor(self.governor.clone());
-            }
             ctx.emm.set_governor(self.governor.clone());
         }
     }
@@ -1233,16 +1224,7 @@ impl<'d> BmcEngine<'d> {
         let ctx = &self.anchored;
         let solver = &ctx.solver;
         let design: &Design = &self.model;
-        // Read literals through the sweep substitutions: a merged gate's
-        // own variable is unconstrained once its retired definition left
-        // the solver, so only the representative carries the model value.
-        let model = |l: Lit| {
-            let l = match &ctx.simplify {
-                Some(simp) => simp.resolve(l),
-                None => l,
-            };
-            solver.model_value(l).unwrap_or(false)
-        };
+        let model = |l: Lit| solver.model_value(l).unwrap_or(false);
 
         let initial_latches: Vec<bool> = ctx
             .unroller

@@ -266,9 +266,6 @@ impl<'d> KInduction<'d> {
 
     fn install_step_governor(&mut self) {
         self.step.solver.set_governor(self.governor.clone());
-        if let Some(simp) = &mut self.step.simplify {
-            simp.set_governor(self.governor.clone());
-        }
         self.step.emm.set_governor(self.governor.clone());
     }
 

@@ -24,16 +24,15 @@ use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict, KInduction, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
-use emm_sat::{ExhaustionReason, FaultSite, ResourceGovernor, SimplifyConfig};
+use emm_sat::{ExhaustionReason, FaultSite, ResourceGovernor};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-const ALL_SITES: [FaultSite; 11] = [
+const ALL_SITES: [FaultSite; 10] = [
     FaultSite::Conflict,
     FaultSite::RetiredClause,
     FaultSite::FraigCheck,
     FaultSite::FraigMerge,
-    FaultSite::SweepCheck,
     FaultSite::EmmComparator,
     FaultSite::RewriteIteration,
     FaultSite::Frame,
@@ -74,7 +73,6 @@ fn opts(governor: ResourceGovernor, proofs: bool) -> BmcOptions {
     BmcOptions {
         proofs,
         governor,
-        simplify: SimplifyConfig::sweeping(),
         ..BmcOptions::default()
     }
 }
@@ -172,7 +170,6 @@ fn fault_sweep_on_random_designs_never_flips_verdicts() {
     for site in [
         FaultSite::Conflict,
         FaultSite::RetiredClause,
-        FaultSite::SweepCheck,
         FaultSite::EmmComparator,
         FaultSite::Frame,
     ] {
@@ -264,11 +261,10 @@ fn resume_skips_cleanly_refuted_bounds() {
         14,
         "resume must continue from the deepest clean bound"
     );
-    let simplify = engine.simplify_stats().expect("simplify on");
     let (_, solver) = engine.solver_stats();
     assert_eq!(
         solver.retired_clauses,
-        simplify.clauses_retired + engine.property_clauses_retired(),
+        engine.property_clauses_retired(),
         "retirement accounting must survive a degrade/resume cycle"
     );
 }
@@ -339,9 +335,7 @@ fn pre_cancelled_run_returns_immediately_and_resets() {
 
 /// [`VerifyOptions`] twin of [`opts`] for the k-induction engine.
 fn ki_opts(governor: ResourceGovernor) -> VerifyOptions {
-    VerifyOptions::default()
-        .governor(governor)
-        .simplify(SimplifyConfig::sweeping())
+    VerifyOptions::default().governor(governor)
 }
 
 /// Like [`inject_and_resume`], for the k-induction engine: the degraded
@@ -380,7 +374,6 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
     let sites = [
         FaultSite::Conflict,
         FaultSite::RetiredClause,
-        FaultSite::SweepCheck,
         FaultSite::EmmComparator,
         FaultSite::Frame,
         FaultSite::Vivify,

@@ -11,8 +11,9 @@
 //! merge surfaces as a hard `SpuriousTrace` error, not just a flaky
 //! disagreement.
 
-use emm_aig::{fraig_design, Design, FraigConfig, LatchInit, MemInit};
+use emm_aig::{fraig_design, Design, FraigConfig, LatchInit, MemInit, SequentialRunner};
 use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_sat::ResourceGovernor;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -191,7 +192,12 @@ fn fraig_shrinks_redundant_designs() {
     for _ in 0..10 {
         let mut d = random_latch_design(&mut rng);
         let before = d.num_gates();
-        let stats = fraig_design(&mut d, &FraigConfig::default());
+        let stats = fraig_design(
+            &mut d,
+            &FraigConfig::default(),
+            &ResourceGovernor::unlimited(),
+            &SequentialRunner,
+        );
         d.check().expect("rewrite keeps the design well-formed");
         assert_eq!(stats.ands_before, before);
         assert_eq!(stats.ands_after, d.num_gates());

@@ -1,7 +1,6 @@
 //! Differential testing of bound-to-bound incremental solving: one
 //! long-lived solver per context, per-bound property clauses in
-//! activation groups retired on refutation, sweep-merged Tseitin
-//! definitions physically deleted — against the restart-from-scratch
+//! activation groups retired on refutation — against the restart-from-scratch
 //! baseline (`BmcOptions { incremental: false, .. }`), which rebuilds
 //! every context at every bound.
 //!
@@ -9,15 +8,12 @@
 //! incremental solver carries learned clauses, retired-clause holes, and
 //! activation-group state across bounds, and none of it may change what
 //! is reachable. The white-box accounting tests additionally pin the
-//! retirement bookkeeping: every clause the solver reports retired is
-//! either a swept gate's Tseitin clause (3 per merge, counted by the
-//! simplifier) or a refuted bound's property clause (counted by the
-//! engine).
+//! retirement bookkeeping: every clause the solver reports retired is a
+//! refuted bound's property clause (counted by the engine).
 
 use emm_aig::{Design, LatchInit, MemInit};
 use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
-use emm_sat::SimplifyConfig;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -58,7 +54,6 @@ fn run(design: &Design, prop: usize, bound: usize, incremental: bool, proofs: bo
         BmcOptions {
             proofs,
             incremental,
-            simplify: SimplifyConfig::sweeping(),
             ..BmcOptions::default()
         },
     );
@@ -166,9 +161,9 @@ fn random_mem_design(rng: &mut StdRng) -> Design {
     d
 }
 
-/// Randomized agreement sweep, proofs on and off, with the most
-/// aggressive simplifier configuration (sweeping + retirement) so the
-/// clause-deletion path is the one under differential test.
+/// Randomized agreement sweep, proofs on and off, on the default
+/// pipeline, whose per-bound property-clause retirement is the
+/// clause-deletion path under differential test.
 #[test]
 fn incremental_agrees_on_random_designs() {
     let mut rng = StdRng::seed_from_u64(0x1BC5);
@@ -196,7 +191,6 @@ fn repeated_shallow_checks_match_one_deep_check() {
         let mut stepped = BmcEngine::new(
             &d,
             BmcOptions {
-                simplify: SimplifyConfig::sweeping(),
                 ..BmcOptions::default()
             },
         );
@@ -316,26 +310,18 @@ fn property_switch_keeps_proofs_complete() {
     );
 }
 
-/// White-box retirement accounting at the engine level: the solver's
-/// retired-clause total decomposes exactly into sweep-retired Tseitin
-/// clauses (counted by the simplifier) plus refuted-bound property
-/// clauses (counted by the engine), and a merge-rich workload retires
-/// the full three clauses per merge.
+/// White-box retirement accounting at the engine level: every clause the
+/// solver retired is a refuted bound's property clause (counted by the
+/// engine), one per bound.
 #[test]
-fn retired_clause_accounting_matches_sweep_merges() {
+fn retired_clause_accounting_matches_property_retirements() {
     let qs = QuickSort::new(QuickSortConfig {
         n: 3,
         addr_width: 4,
         data_width: 3,
         bug: Bug::None,
     });
-    let mut engine = BmcEngine::new(
-        &qs.design,
-        BmcOptions {
-            simplify: SimplifyConfig::sweeping(),
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&qs.design, BmcOptions::default());
     let bound = 12;
     let run = engine.check(qs.p1.0 as usize, bound).expect("run");
     assert!(
@@ -343,19 +329,12 @@ fn retired_clause_accounting_matches_sweep_merges() {
         "P1 must hold this deep: {:?}",
         run.verdict
     );
-    let simplify = engine.simplify_stats().expect("simplify on");
     let (_, solver) = engine.solver_stats();
-    assert!(simplify.sweep_merges > 0, "workload must exercise sweeping");
-    assert_eq!(
-        simplify.clauses_retired,
-        3 * simplify.sweep_merges,
-        "every merge retires its full Tseitin triple"
-    );
     // Every refuted bound retired its property clause.
     assert_eq!(engine.property_clauses_retired(), (bound + 1) as u64);
     assert_eq!(
         solver.retired_clauses,
-        simplify.clauses_retired + engine.property_clauses_retired(),
+        engine.property_clauses_retired(),
         "solver-side retirements must be fully accounted for"
     );
 }
@@ -374,7 +353,6 @@ fn restart_mode_accounting_is_self_contained() {
         &qs.design,
         BmcOptions {
             incremental: false,
-            simplify: SimplifyConfig::sweeping(),
             ..BmcOptions::default()
         },
     );
@@ -382,11 +360,9 @@ fn restart_mode_accounting_is_self_contained() {
     assert!(matches!(run.verdict, BmcVerdict::BoundReached));
     // The last rebuilt context holds frames 0..=6 and exactly one
     // refuted bound's worth of property-clause retirement.
-    let simplify = engine.simplify_stats().expect("simplify on");
     let (_, solver) = engine.solver_stats();
     assert_eq!(
-        solver.retired_clauses,
-        simplify.clauses_retired + 1,
+        solver.retired_clauses, 1,
         "one property clause retired in the final context"
     );
 }

@@ -16,7 +16,7 @@ use emm_bmc::{BmcEngine, BmcVerdict, KInduction, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
-use emm_sat::{InprocessConfig, RestartPolicy, SimplifyConfig, SolverConfig};
+use emm_sat::{InprocessConfig, RestartPolicy, SolverConfig};
 
 mod random_mem {
     use emm_aig::{Design, LatchInit, MemInit};
@@ -77,10 +77,7 @@ fn opts(inprocess: bool, proofs: bool) -> VerifyOptions {
     } else {
         SolverConfig::default().inprocess(InprocessConfig::disabled())
     };
-    VerifyOptions::default()
-        .proofs(proofs)
-        .simplify(SimplifyConfig::sweeping())
-        .solver(solver)
+    VerifyOptions::default().proofs(proofs).solver(solver)
 }
 
 fn run(design: &Design, prop: usize, bound: usize, inprocess: bool, proofs: bool) -> BmcVerdict {
@@ -153,8 +150,8 @@ fn inprocessing_agrees_on_quicksort_counterexamples() {
 }
 
 /// Randomized agreement sweep over the random-memory family, proofs on
-/// and off, with the sweeping simplifier so inprocessing runs on top of
-/// the full retirement machinery.
+/// and off, on the default pipeline so inprocessing runs on top of the
+/// per-bound clause retirement.
 #[test]
 fn inprocessing_agrees_on_random_designs() {
     use rand::SeedableRng;

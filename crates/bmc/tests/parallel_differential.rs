@@ -7,13 +7,14 @@
 //!
 //! The CI `parallel` matrix leg runs this suite under `EMM_WORKERS=1`
 //! and `EMM_WORKERS=4`; the suite itself additionally sweeps explicit
-//! worker counts so a single run covers 1/2/4.
+//! worker counts so a single run covers 0/1/2/4 (`0` is the options
+//! default and runs the same inline schedule as `1`).
 
 use std::sync::Arc;
 
-use emm_aig::{fraig_design_pooled, Design, FraigConfig, LatchInit};
+use emm_aig::{fraig_design, Design, FraigConfig, FraigStats, LatchInit, RewriteConfig};
 use emm_bmc::pba::{self, PbaConfig};
-use emm_bmc::{VerificationServer, VerifyBudget, VerifyOptions, VerifyRequest};
+use emm_bmc::{ReducedModel, VerificationServer, VerifyBudget, VerifyOptions, VerifyRequest};
 use emm_core::Pool;
 use emm_sat::{FaultSite, ResourceGovernor};
 
@@ -62,34 +63,52 @@ fn memory_design() -> Design {
     d
 }
 
+/// `ReducedModel::reduce` with `workers` = 0, 1, 2 and 4: `0` runs the
+/// same inline schedule as `1`, so all four must produce the same model.
+fn reduce_at_worker_counts(governor: impl Fn() -> ResourceGovernor) -> Vec<(FraigStats, String)> {
+    let base = redundant_counter();
+    [0usize, 1, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            let reduced = ReducedModel::reduce(
+                &base,
+                &RewriteConfig::disabled(),
+                &FraigConfig::default(),
+                &governor(),
+                workers,
+            );
+            let stats = *reduced.fraig_stats().expect("fraig ran");
+            (stats, format!("{:?}", reduced.model().stats()))
+        })
+        .collect()
+}
+
 #[test]
 fn pooled_fraig_is_bit_identical_across_worker_counts() {
-    let base = redundant_counter();
-    let governor = ResourceGovernor::unlimited();
-    let mut outcomes = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let mut model = base.clone();
-        let pool = Pool::new(workers);
-        let stats = fraig_design_pooled(&mut model, &FraigConfig::default(), &governor, &pool);
-        outcomes.push((stats, model.num_gates(), format!("{:?}", model.stats())));
+    let outcomes = reduce_at_worker_counts(ResourceGovernor::unlimited);
+    assert!(outcomes[0].0.merges > 0, "the design must exercise fraig");
+    for (i, workers) in [1, 2, 4].into_iter().enumerate() {
+        assert_eq!(
+            outcomes[0],
+            outcomes[i + 1],
+            "0 vs {workers} workers diverged"
+        );
     }
-    assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");
-    assert_eq!(outcomes[0], outcomes[2], "1 vs 4 workers diverged");
 }
 
 #[test]
 fn pooled_fraig_fault_injection_is_bit_identical() {
-    let base = redundant_counter();
-    let mut outcomes = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let governor = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
-        let mut model = base.clone();
-        let pool = Pool::new(workers);
-        let stats = fraig_design_pooled(&mut model, &FraigConfig::default(), &governor, &pool);
-        outcomes.push((stats, model.num_gates()));
+    let outcomes = reduce_at_worker_counts(|| {
+        ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2)
+    });
+    assert!(outcomes[0].0.interrupted, "the fault must trip");
+    for (i, workers) in [1, 2, 4].into_iter().enumerate() {
+        assert_eq!(
+            outcomes[0],
+            outcomes[i + 1],
+            "0 vs {workers} workers diverged"
+        );
     }
-    assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");
-    assert_eq!(outcomes[0], outcomes[2], "1 vs 4 workers diverged");
 }
 
 /// Flattens a discovery result into a comparable record.
@@ -116,6 +135,13 @@ fn parallel_pba_discovery_matches_across_worker_counts() {
     }
     assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");
     assert_eq!(outcomes[0], outcomes[2], "1 vs 4 workers diverged");
+    // The single-property driver reduces through `BmcEngine::new` with the
+    // default `workers = 0`: the same sweep as a 1-worker pool.
+    let sequential: Vec<_> = props
+        .iter()
+        .map(|&prop| discovery_key(&pba::discover(&design, prop, &config).expect("discovery")))
+        .collect();
+    assert_eq!(outcomes[0], sequential, "discover vs discover_all diverged");
 }
 
 #[test]
@@ -154,10 +180,14 @@ fn response_keys(responses: &[emm_bmc::VerifyResponse]) -> Vec<(usize, String, u
         .collect()
 }
 
-fn submit_batch(server: &mut VerificationServer, governor: &ResourceGovernor) {
+/// Queues the mixed batch; every request asks for `workers` threads, the
+/// count its shared reduction's fraig sweep is scheduled on.
+fn submit_batch(server: &mut VerificationServer, governor: &ResourceGovernor, workers: usize) {
     let counter = Arc::new(redundant_counter());
     let memory = Arc::new(memory_design());
-    let options = VerifyOptions::default().governor(governor.clone());
+    let options = VerifyOptions::default()
+        .governor(governor.clone())
+        .workers(workers);
     for (design, property, max_depth) in [
         (Arc::clone(&counter), 0usize, 16usize),
         (Arc::clone(&counter), 1, 8),
@@ -180,30 +210,40 @@ fn submit_batch(server: &mut VerificationServer, governor: &ResourceGovernor) {
 #[test]
 fn server_responses_are_bit_identical_across_worker_counts() {
     let mut outcomes = Vec::new();
-    for workers in [1usize, 2, 4] {
+    for workers in [0usize, 1, 2, 4] {
         let mut server = VerificationServer::new(workers);
-        submit_batch(&mut server, &ResourceGovernor::unlimited());
+        submit_batch(&mut server, &ResourceGovernor::unlimited(), workers);
         let responses = server.run();
         assert_eq!(server.stats().jobs, 5);
-        assert_eq!(server.stats().workers, workers);
+        assert_eq!(server.stats().workers, workers.max(1));
         outcomes.push(response_keys(&responses));
     }
-    assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");
-    assert_eq!(outcomes[0], outcomes[2], "1 vs 4 workers diverged");
+    for (i, workers) in [1, 2, 4].into_iter().enumerate() {
+        assert_eq!(
+            outcomes[0],
+            outcomes[i + 1],
+            "0 vs {workers} workers diverged"
+        );
+    }
 }
 
 #[test]
 fn server_fault_injection_is_deterministic() {
     let mut outcomes = Vec::new();
-    for workers in [1usize, 2, 4] {
+    for workers in [0usize, 1, 2, 4] {
         let governor = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 5);
         let mut server = VerificationServer::new(workers);
-        submit_batch(&mut server, &governor);
+        submit_batch(&mut server, &governor, workers);
         let responses = server.run();
         outcomes.push(response_keys(&responses));
     }
-    assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");
-    assert_eq!(outcomes[0], outcomes[2], "1 vs 4 workers diverged");
+    for (i, workers) in [1, 2, 4].into_iter().enumerate() {
+        assert_eq!(
+            outcomes[0],
+            outcomes[i + 1],
+            "0 vs {workers} workers diverged"
+        );
+    }
 }
 
 #[test]
@@ -244,7 +284,7 @@ fn server_kinduction_matches_direct_engine_across_worker_counts() {
         (Arc::clone(&memory), 1, 10),
     ];
     let mut outcomes = Vec::new();
-    for workers in [1usize, 2, 4] {
+    for workers in [0usize, 1, 2, 4] {
         let mut server = VerificationServer::new(workers);
         for (design, property, max_depth) in &jobs {
             server.submit(VerifyRequest {
@@ -254,13 +294,18 @@ fn server_kinduction_matches_direct_engine_across_worker_counts() {
                     max_depth: *max_depth,
                     ..VerifyBudget::default()
                 },
-                options: options.clone(),
+                options: options.clone().workers(workers),
             });
         }
         outcomes.push(response_keys(&server.run()));
     }
-    assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");
-    assert_eq!(outcomes[0], outcomes[2], "1 vs 4 workers diverged");
+    for (i, workers) in [1, 2, 4].into_iter().enumerate() {
+        assert_eq!(
+            outcomes[0],
+            outcomes[i + 1],
+            "0 vs {workers} workers diverged"
+        );
+    }
     for (i, (design, property, max_depth)) in jobs.iter().enumerate() {
         let direct = emm_bmc::KInduction::new(design.as_ref(), options.clone())
             .check(*property, *max_depth)
@@ -284,14 +329,14 @@ fn env_sized_pool_matches_explicit_pools() {
     let base = redundant_counter();
     let governor = ResourceGovernor::unlimited();
     let mut reference = base.clone();
-    let expected = fraig_design_pooled(
+    let expected = fraig_design(
         &mut reference,
         &FraigConfig::default(),
         &governor,
         &Pool::new(1),
     );
     let mut model = base.clone();
-    let got = fraig_design_pooled(
+    let got = fraig_design(
         &mut model,
         &FraigConfig::default(),
         &governor,

@@ -4,8 +4,7 @@
 //! [`Budget`](crate::Budget) limits a *single solve call*; the
 //! [`ResourceGovernor`] governs the *whole verification pipeline*. One
 //! governor is threaded from `BmcOptions` through the reduction passes
-//! (rewrite, fraig), the simplifying sink's SAT sweeper, the EMM
-//! constraint encoder, and both incremental solvers, so a job-level
+//! (rewrite, fraig), the EMM constraint encoder, and both incremental solvers, so a job-level
 //! deadline or a dispatcher's cancellation request reaches every loop
 //! that can run long. The contract at every poll point is *graceful
 //! degradation*: a tripped governor makes the pass stop early and
@@ -86,8 +85,6 @@ pub enum FaultSite {
     FraigCheck,
     /// A fraig merge committed.
     FraigMerge,
-    /// A sweep SAT equivalence check issued by the simplifying sink.
-    SweepCheck,
     /// An EMM address comparator encoded.
     EmmComparator,
     /// A rewrite fixpoint iteration completed.
@@ -288,8 +285,8 @@ impl ResourceGovernor {
     }
 
     /// The cheap poll: cancellation flag, then deadline. This is what
-    /// the pass-level loops (fraig candidates, rewrite iterations,
-    /// sweep credits, EMM comparators, frame unrolling) call.
+    /// the pass-level loops (fraig rounds, rewrite iterations, EMM
+    /// comparators, frame unrolling) call.
     #[inline]
     pub fn poll(&self) -> Option<ExhaustionReason> {
         if self.is_cancelled() {
@@ -406,10 +403,10 @@ mod tests {
 
     #[test]
     fn fault_counter_is_shared_between_clones() {
-        let gov = ResourceGovernor::unlimited().with_fault(FaultSite::SweepCheck, 2);
+        let gov = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
         let clone = gov.clone();
-        gov.note(FaultSite::SweepCheck);
-        clone.note(FaultSite::SweepCheck);
+        gov.note(FaultSite::FraigCheck);
+        clone.note(FaultSite::FraigCheck);
         assert!(gov.is_cancelled());
     }
 

@@ -20,8 +20,8 @@
 //!   [`Solver::retire_group`]) — physical deletion of redundant original
 //!   clauses (watchers detached, level-0 reasons cleared, arena space
 //!   reclaimed by the mark-and-compact GC), which is how the incremental
-//!   BMC bound loop sheds refuted bounds' property clauses and how the
-//!   sweeping sink deletes the Tseitin triples of merged-away gates.
+//!   BMC bound loop and the k-induction step shed their per-bound and
+//!   per-depth property clauses.
 //! * **Refutation tracing** ([`SolverConfig::proof_tracing`]) — every learned
 //!   clause records its antecedents so that, on UNSAT,
 //!   [`Solver::core_clause_ids`] returns the set of original clauses used in
@@ -799,10 +799,9 @@ impl Solver {
     /// the clauses that remain. The two patterns the BMC stack uses:
     ///
     /// * the Tseitin definition of a variable no remaining clause
-    ///   references (a gate output substituted away by SAT sweeping) —
-    ///   definitional extensions can be removed because any model of the
-    ///   rest extends to the defined variable, which also repairs every
-    ///   learned clause over it;
+    ///   references — definitional extensions can be removed because any
+    ///   model of the rest extends to the defined variable, which also
+    ///   repairs every learned clause over it;
     /// * a clause satisfied by a level-0 unit (an activation-group clause
     ///   after [`Solver::retire_group`] asserted the group literal false).
     ///
@@ -964,8 +963,9 @@ impl Solver {
     /// when the conflict budget ran out before an answer. The caller's
     /// [`Budget`] is saved and restored around the check, and the model /
     /// failed-assumption state of a previous solve is clobbered like any
-    /// other `solve_with` call — callers (SAT sweeping) run between
-    /// encoding and solving, where that state is dead.
+    /// other `solve_with` call — callers (the fraig pass's
+    /// [`EquivOracle`](crate::EquivOracle)) own a dedicated solver, where
+    /// that state is dead.
     pub fn prove_equiv(&mut self, a: Lit, b: Lit, max_conflicts: u64) -> Option<bool> {
         if a == b {
             return Some(true);
