@@ -24,7 +24,7 @@ use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict, KInduction, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
-use emm_sat::{ExhaustionReason, FaultSite, ResourceGovernor};
+use emm_sat::{ExhaustionReason, FaultSite, InprocessConfig, ResourceGovernor, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -74,6 +74,27 @@ fn opts(governor: ResourceGovernor, proofs: bool) -> BmcOptions {
         proofs,
         governor,
         ..BmcOptions::default()
+    }
+}
+
+fn is_inprocess_site(site: FaultSite) -> bool {
+    matches!(
+        site,
+        FaultSite::Vivify | FaultSite::Subsume | FaultSite::Probe
+    )
+}
+
+/// The options a fault at `site` runs under. The default schedule waits
+/// for 2,000 conflicts between inprocessing rounds, which these small
+/// workloads rarely reach, so the inprocessing sites run with a round
+/// at every bound — otherwise they would hardly ever fire.
+fn site_options(site: FaultSite, options: impl Into<VerifyOptions>) -> VerifyOptions {
+    let options = options.into();
+    if is_inprocess_site(site) {
+        options
+            .solver(SolverConfig::default().inprocess(InprocessConfig::default().round_interval(0)))
+    } else {
+        options
     }
 }
 
@@ -128,7 +149,7 @@ fn inject_and_resume(
 ) {
     let context = format!("fault ({site:?}, {n})");
     let governor = ResourceGovernor::unlimited().with_fault(site, n);
-    let mut engine = BmcEngine::new(design, opts(governor, proofs));
+    let mut engine = BmcEngine::new(design, site_options(site, opts(governor, proofs)));
     let degraded = engine.check(prop, bound).expect("no spurious traces");
     assert_sound(&context, reference, &degraded.verdict);
     engine.set_governor(ResourceGovernor::unlimited());
@@ -340,7 +361,8 @@ fn ki_opts(governor: ResourceGovernor) -> VerifyOptions {
 
 /// Like [`inject_and_resume`], for the k-induction engine: the degraded
 /// run must stay sound and the same engine must resume to the reference
-/// verdict under an unlimited governor.
+/// verdict under an unlimited governor. Returns whether the fault
+/// degraded the first run.
 fn ki_inject_and_resume(
     design: &Design,
     prop: usize,
@@ -348,10 +370,10 @@ fn ki_inject_and_resume(
     reference: &BmcVerdict,
     site: FaultSite,
     n: u64,
-) {
+) -> bool {
     let context = format!("kinduction fault ({site:?}, {n})");
     let governor = ResourceGovernor::unlimited().with_fault(site, n);
-    let mut engine = KInduction::new(design, ki_opts(governor));
+    let mut engine = KInduction::new(design, site_options(site, ki_opts(governor)));
     let degraded = engine.check(prop, max_k).expect("no spurious traces");
     assert_sound(&context, reference, &degraded.verdict);
     engine.set_governor(ResourceGovernor::unlimited());
@@ -363,6 +385,7 @@ fn ki_inject_and_resume(
          verdict, got {:?} (reference {reference:?})",
         resumed.verdict
     );
+    degraded.verdict.is_unknown()
 }
 
 /// Full (site, N) sweep over the k-induction engine: the random design
@@ -407,7 +430,12 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
     );
     for site in sites {
         for n in [1, 4] {
-            ki_inject_and_resume(&fifo.design, prop, 6, &reference, site, n);
+            let tripped = ki_inject_and_resume(&fifo.design, prop, 6, &reference, site, n);
+            // The step context inprocesses before its k = 1 query, so
+            // every inprocessing site must actually fire here.
+            if is_inprocess_site(site) {
+                assert!(tripped, "({site:?}, {n}) never fired");
+            }
         }
     }
 }

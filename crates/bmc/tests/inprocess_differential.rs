@@ -1,15 +1,18 @@
 //! Differential testing of the solver inprocessing loop (vivification,
 //! subsumption + self-subsuming resolution, failed-literal probing) run
 //! between BMC bounds and k-induction depths: every workload is checked
-//! inprocessing-on (the default) against inprocessing-off
-//! (`InprocessConfig::disabled()` threaded through
-//! `VerifyOptions::solver`), and verdicts *and* counterexample traces
-//! must agree exactly — database rewriting may only ever remove models
-//! that were never reachable.
+//! with inprocessing forced on every bound (`round_interval(0)`), on the
+//! default conflict-triggered schedule, and off
+//! (`InprocessConfig::disabled()`), each threaded through
+//! `VerifyOptions::solver`. Verdicts *and* counterexample traces must
+//! agree exactly — database rewriting may only ever remove models that
+//! were never reachable.
 //!
-//! The suite also guards against a vacuous differential: the "on" legs
-//! assert through the engine's solver counters that inprocessing
-//! actually fired on these workloads.
+//! The suite also guards against a vacuous differential: the forced
+//! legs assert through the engine's solver counters that inprocessing
+//! actually fired on these workloads. (The default schedule waits for
+//! 2,000 conflicts between rounds, which these small workloads rarely
+//! reach, so the forced cadence is what exercises the rewrites here.)
 
 use emm_aig::Design;
 use emm_bmc::{BmcEngine, BmcVerdict, KInduction, VerifyOptions};
@@ -71,25 +74,38 @@ fn verdict_shape(v: &BmcVerdict) -> (u8, usize) {
     }
 }
 
-fn opts(inprocess: bool, proofs: bool) -> VerifyOptions {
-    let solver = if inprocess {
-        SolverConfig::default()
-    } else {
-        SolverConfig::default().inprocess(InprocessConfig::disabled())
-    };
-    VerifyOptions::default().proofs(proofs).solver(solver)
+/// The three inprocessing legs every workload runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Leg {
+    /// A round at every bound and step depth.
+    Forced,
+    /// The default conflict-triggered schedule.
+    Default,
+    /// `InprocessConfig::disabled()`.
+    Off,
 }
 
-fn run(design: &Design, prop: usize, bound: usize, inprocess: bool, proofs: bool) -> BmcVerdict {
-    let mut engine = BmcEngine::new(design, opts(inprocess, proofs));
+fn opts(leg: Leg, proofs: bool) -> VerifyOptions {
+    let inprocess = match leg {
+        Leg::Forced => InprocessConfig::default().round_interval(0),
+        Leg::Default => InprocessConfig::default(),
+        Leg::Off => InprocessConfig::disabled(),
+    };
+    VerifyOptions::default()
+        .proofs(proofs)
+        .solver(SolverConfig::default().inprocess(inprocess))
+}
+
+fn run(design: &Design, prop: usize, bound: usize, leg: Leg, proofs: bool) -> BmcVerdict {
+    let mut engine = BmcEngine::new(design, opts(leg, proofs));
     let run = engine.check(prop, bound).expect("no spurious traces");
     // Inprocessing first fires between bounds 0 and 1, so a run decided
     // at bound 0 legitimately never inprocesses.
-    if inprocess && run.depth_reached >= 1 {
+    if leg == Leg::Forced && run.depth_reached >= 1 {
         let (_, stats) = engine.solver_stats();
         assert!(
             stats.inprocess_rounds > 0,
-            "the on-leg must actually inprocess (reached {})",
+            "the forced leg must actually inprocess (reached {})",
             run.depth_reached
         );
     }
@@ -109,14 +125,16 @@ fn inprocessing_agrees_on_quicksort_proofs() {
     });
     let bound = qs.cycle_bound();
     for (name, prop) in [("table1_p1_n3", qs.p1.0), ("table2_p2_n3", qs.p2.0)] {
-        let on = run(&qs.design, prop as usize, bound, true, true);
-        let off = run(&qs.design, prop as usize, bound, false, true);
-        assert!(on.is_proof(), "{name}: expected a proof, got {on:?}");
-        assert_eq!(
-            verdict_shape(&on),
-            verdict_shape(&off),
-            "{name}: inprocessing-on {on:?} vs -off {off:?}"
-        );
+        let off = run(&qs.design, prop as usize, bound, Leg::Off, true);
+        assert!(off.is_proof(), "{name}: expected a proof, got {off:?}");
+        for leg in [Leg::Forced, Leg::Default] {
+            let on = run(&qs.design, prop as usize, bound, leg, true);
+            assert_eq!(
+                verdict_shape(&on),
+                verdict_shape(&off),
+                "{name}: inprocessing {leg:?} {on:?} vs off {off:?}"
+            );
+        }
     }
 }
 
@@ -138,14 +156,21 @@ fn inprocessing_agrees_on_quicksort_counterexamples() {
         });
         let prop = if use_p2 { qs.p2.0 } else { qs.p1.0 } as usize;
         let bound = qs.cycle_bound();
-        let on = run(&qs.design, prop, bound, true, false);
-        let off = run(&qs.design, prop, bound, false, false);
-        let (BmcVerdict::Counterexample(ton), BmcVerdict::Counterexample(toff)) = (&on, &off)
-        else {
-            panic!("{bug:?}: expected counterexamples, got {on:?} vs {off:?}");
+        let off = run(&qs.design, prop, bound, Leg::Off, false);
+        let BmcVerdict::Counterexample(toff) = &off else {
+            panic!("{bug:?}: expected a counterexample with inprocessing off, got {off:?}");
         };
-        assert_eq!(ton.depth(), toff.depth(), "{bug:?}: depths diverge");
-        assert_eq!(ton.frames, toff.frames, "{bug:?}: input frames diverge");
+        for leg in [Leg::Forced, Leg::Default] {
+            let on = run(&qs.design, prop, bound, leg, false);
+            let BmcVerdict::Counterexample(ton) = &on else {
+                panic!("{bug:?}: expected a counterexample under {leg:?}, got {on:?}");
+            };
+            assert_eq!(ton.depth(), toff.depth(), "{bug:?} {leg:?}: depths diverge");
+            assert_eq!(
+                ton.frames, toff.frames,
+                "{bug:?} {leg:?}: input frames diverge"
+            );
+        }
     }
 }
 
@@ -159,13 +184,15 @@ fn inprocessing_agrees_on_random_designs() {
     for round in 0..12 {
         let d = random_mem::design(&mut rng);
         let proofs = round % 2 == 0;
-        let on = run(&d, 0, 6, true, proofs);
-        let off = run(&d, 0, 6, false, proofs);
-        assert_eq!(
-            verdict_shape(&on),
-            verdict_shape(&off),
-            "round {round}: inprocessing-on {on:?} vs -off {off:?}"
-        );
+        let off = run(&d, 0, 6, Leg::Off, proofs);
+        for leg in [Leg::Forced, Leg::Default] {
+            let on = run(&d, 0, 6, leg, proofs);
+            assert_eq!(
+                verdict_shape(&on),
+                verdict_shape(&off),
+                "round {round}: inprocessing {leg:?} {on:?} vs off {off:?}"
+            );
+        }
     }
 }
 
@@ -189,25 +216,22 @@ fn inprocessing_agrees_on_kinduction_closures() {
         ),
     ];
     for (name, design, prop, close_k) in workloads {
-        let mut on_engine = KInduction::new(design, opts(true, false));
-        let on = on_engine.check(prop, 10).expect("on").verdict;
-        let mut off_engine = KInduction::new(design, opts(false, false));
-        let off = off_engine.check(prop, 10).expect("off").verdict;
-        assert!(
-            matches!(on, BmcVerdict::Proved { k } if k == close_k),
-            "{name}: closes at k = {close_k}, got {on:?}"
-        );
-        assert_eq!(
-            verdict_shape(&on),
-            verdict_shape(&off),
-            "{name}: inprocessing-on {on:?} vs -off {off:?}"
-        );
-        let (_, step_stats) = on_engine.step_solver_stats();
-        let (_, base_stats) = on_engine.base().solver_stats();
-        assert!(
-            step_stats.inprocess_rounds + base_stats.inprocess_rounds > 0,
-            "{name}: the on-leg must actually inprocess"
-        );
+        for leg in [Leg::Forced, Leg::Default, Leg::Off] {
+            let mut engine = KInduction::new(design, opts(leg, false));
+            let verdict = engine.check(prop, 10).expect("k-induction run").verdict;
+            assert!(
+                matches!(verdict, BmcVerdict::Proved { k } if k == close_k),
+                "{name} {leg:?}: closes at k = {close_k}, got {verdict:?}"
+            );
+            if leg == Leg::Forced {
+                let (_, step_stats) = engine.step_solver_stats();
+                let (_, base_stats) = engine.base().solver_stats();
+                assert!(
+                    step_stats.inprocess_rounds + base_stats.inprocess_rounds > 0,
+                    "{name}: the forced leg must actually inprocess"
+                );
+            }
+        }
     }
 }
 
@@ -227,9 +251,10 @@ fn ema_restarts_and_chrono_backtracking_agree_with_default() {
     });
     let prop = qs.p1.0 as usize;
     let bound = qs.cycle_bound();
-    let mut default_engine = BmcEngine::new(&qs.design, opts(true, false));
+    let mut default_engine = BmcEngine::new(&qs.design, opts(Leg::Default, false));
     let default_verdict = default_engine.check(prop, bound).expect("default").verdict;
-    let mut tuned_engine = BmcEngine::new(&qs.design, opts(true, false).solver(tuned.clone()));
+    let mut tuned_engine =
+        BmcEngine::new(&qs.design, opts(Leg::Default, false).solver(tuned.clone()));
     let tuned_verdict = tuned_engine.check(prop, bound).expect("tuned").verdict;
     let (BmcVerdict::Counterexample(td), BmcVerdict::Counterexample(tt)) =
         (&default_verdict, &tuned_verdict)
@@ -242,9 +267,9 @@ fn ema_restarts_and_chrono_backtracking_agree_with_default() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A9D);
     for round in 0..6 {
         let d = random_mem::design(&mut rng);
-        let mut default_engine = BmcEngine::new(&d, opts(true, false));
+        let mut default_engine = BmcEngine::new(&d, opts(Leg::Default, false));
         let default_verdict = default_engine.check(0, 6).expect("default").verdict;
-        let mut tuned_engine = BmcEngine::new(&d, opts(true, false).solver(tuned.clone()));
+        let mut tuned_engine = BmcEngine::new(&d, opts(Leg::Default, false).solver(tuned.clone()));
         let tuned_verdict = tuned_engine.check(0, 6).expect("tuned").verdict;
         assert_eq!(
             verdict_shape(&default_verdict),

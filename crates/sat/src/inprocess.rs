@@ -6,16 +6,28 @@
 //! the `emm-bmc` engine calls it between bounds (and between k-induction
 //! depths), so simplification effort spent once is amortized over every
 //! later query on the same solver — the payoff a restart-from-scratch
-//! solver can never collect. All three techniques are bounded per call
-//! (see [`InprocessConfig`]) and resume where they left off through
-//! rotating cursors, so the cost per bound stays flat while coverage
-//! still reaches the whole database over the run. On top of the fixed
-//! caps, per-call vivification/probing effort is scaled by the number
-//! of conflicts the search produced since the previous call
-//! ([`InprocessConfig::scale_to_conflicts`], on by default): a bound
-//! decided by pure propagation — the common case for the EMM encodings —
-//! earns an almost-free round, so inprocessing never costs more than
-//! the search work it is trying to save.
+//! solver can never collect.
+//!
+//! # Scheduling
+//!
+//! A call runs a round only when the search has *earned* one: at least
+//! [`InprocessConfig::round_interval`] conflicts since the last round
+//! that fired (2,000 by default). Every other call returns at once,
+//! before any propagation or allocation. The BMC queries are
+//! propagation-bound — conflicts are rare, most termination checks
+//! answer SAT — so on those workloads most bounds skip the round, and
+//! rewriting a database the search never struggles with is not paid
+//! for. This is the conflict-interval scheduling of CaDiCaL and Kissat
+//! (after Järvisalo, Heule & Biere, "Inprocessing Rules", IJCAR 2012).
+//!
+//! A round that fires runs every enabled technique at its configured
+//! cap (see [`InprocessConfig`]). Each technique resumes where the
+//! previous round stopped through its own rotating cursor (clause id
+//! for vivification and subsumption, variable index for probing), so
+//! repeated rounds reach the whole database. A round leaves the saved
+//! phases as it found them: vivification and probing backtrack through
+//! the ordinary trail, and their trial assignments must not steer the
+//! next search's decisions.
 //!
 //! # Soundness in an incremental solver
 //!
@@ -57,6 +69,7 @@
 //! sound — and `SolverStats::inprocess_rounds` counts only passes that
 //! ran to completion.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::clause::{ClauseId, ClauseRef};
@@ -67,10 +80,11 @@ use crate::solver::Solver;
 /// Knobs of the inprocessing loop ([`Solver::inprocess`]), nested in
 /// [`SolverConfig::inprocess`](crate::SolverConfig::inprocess).
 ///
-/// The defaults enable every technique with conservative per-call
-/// effort caps sized for the between-bounds cadence of the incremental
-/// BMC loop: each call touches at most a bounded slice of the database
-/// and the rotating cursors spread successive calls across all of it.
+/// The defaults enable every technique. A call runs a round only once
+/// the search has produced [`round_interval`](Self::round_interval)
+/// conflicts since the last round; the round then touches at most the
+/// capped slice of the database, and the rotating cursors spread
+/// successive rounds across all of it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InprocessConfig {
     /// Master switch; `false` makes [`Solver::inprocess`] a no-op.
@@ -81,23 +95,18 @@ pub struct InprocessConfig {
     pub subsume: bool,
     /// Run failed-literal probing.
     pub probe: bool,
-    /// Maximum original clauses vivified per call.
+    /// Maximum original clauses vivified per round.
     pub vivify_clause_budget: usize,
     /// Maximum clauses (originals + learnts) entering one subsumption
     /// sweep.
     pub subsume_clause_budget: usize,
-    /// Maximum variables probed per call (both phases each).
+    /// Maximum variables probed per round (both phases each).
     pub probe_var_budget: usize,
-    /// Scale per-call vivification/probing effort by the number of
-    /// conflicts the search produced since the previous call (capped by
-    /// the budgets above). This is the amortization contract of the
-    /// between-bounds cadence: a bound the solver decided by pure
-    /// propagation earns no inprocessing effort — rewriting a database
-    /// the search never struggles with cannot pay for itself — while a
-    /// conflict-heavy bound earns a full round. Disable for
-    /// deterministic full-budget passes regardless of search history
-    /// (the unit-test configuration).
-    pub scale_to_conflicts: bool,
+    /// Conflicts the search must produce since the last round that
+    /// fired before a call runs the next one; every call before that is
+    /// a constant-time no-op. `0` runs a round on every call (the
+    /// unit-test configuration).
+    pub round_interval: u64,
 }
 
 impl Default for InprocessConfig {
@@ -110,7 +119,7 @@ impl Default for InprocessConfig {
             vivify_clause_budget: 512,
             subsume_clause_budget: 4096,
             probe_var_budget: 256,
-            scale_to_conflicts: true,
+            round_interval: 2000,
         }
     }
 }
@@ -148,7 +157,7 @@ impl InprocessConfig {
         self
     }
 
-    /// Caps the original clauses vivified per call.
+    /// Caps the original clauses vivified per round.
     pub fn vivify_clause_budget(mut self, n: usize) -> InprocessConfig {
         self.vivify_clause_budget = n;
         self
@@ -160,16 +169,16 @@ impl InprocessConfig {
         self
     }
 
-    /// Caps the variables probed per call.
+    /// Caps the variables probed per round.
     pub fn probe_var_budget(mut self, n: usize) -> InprocessConfig {
         self.probe_var_budget = n;
         self
     }
 
-    /// Enables or disables conflict-credit scaling of the per-call
-    /// vivification/probing effort (see the field docs).
-    pub fn scale_to_conflicts(mut self, on: bool) -> InprocessConfig {
-        self.scale_to_conflicts = on;
+    /// Sets the conflicts between rounds (see the field docs); `0`
+    /// runs a round on every call.
+    pub fn round_interval(mut self, conflicts: u64) -> InprocessConfig {
+        self.round_interval = conflicts;
         self
     }
 }
@@ -200,17 +209,20 @@ fn var_sig(lits: &[Lit]) -> u64 {
 }
 
 impl Solver {
-    /// Runs one bounded inprocessing pass: vivification, subsumption +
+    /// Runs one bounded inprocessing round — vivification, subsumption +
     /// self-subsuming resolution, failed-literal probing (each
-    /// individually switchable via [`InprocessConfig`]).
+    /// individually switchable via [`InprocessConfig`]) — if the search
+    /// has produced [`InprocessConfig::round_interval`] conflicts since
+    /// the last round that fired; otherwise returns `None` at once.
     ///
-    /// Returns `None` when the pass completed (or was disabled) and
+    /// Returns `None` when the round completed (or did not run) and
     /// `Some(reason)` when the governor or the budget deadline stopped
     /// it early; either way the solver is left at decision level 0 and
     /// fully usable, with all work already done kept (it is all sound).
-    /// See the module docs in `inprocess.rs` for the soundness contract.
+    /// See the module docs in `inprocess.rs` for the schedule and the
+    /// soundness contract.
     ///
-    /// The pass is a no-op under [`SolverConfig::proof_tracing`](crate::SolverConfig::proof_tracing):
+    /// The call is a no-op under [`SolverConfig::proof_tracing`](crate::SolverConfig::proof_tracing):
     /// strengthened clauses would need tracer derivations the rewrite
     /// does not record, so refutation cores stay exact by simply not
     /// rewriting traced databases.
@@ -219,10 +231,10 @@ impl Solver {
     ///
     /// ```
     /// use emm_sat::{InprocessConfig, SolveResult, Solver, SolverConfig};
-    /// // A fresh solver has earned no conflict credit yet; disable the
-    /// // scaling to force a full-effort round.
+    /// // A fresh solver has produced no conflicts yet; a zero interval
+    /// // runs the round anyway.
     /// let mut s = Solver::with_config(SolverConfig::default().inprocess(
-    ///     InprocessConfig::default().scale_to_conflicts(false),
+    ///     InprocessConfig::default().round_interval(0),
     /// ));
     /// let a = s.new_var().positive();
     /// let b = s.new_var().positive();
@@ -242,6 +254,12 @@ impl Solver {
     /// Panics if called while the solver is not at decision level zero.
     pub fn inprocess(&mut self) -> Option<ExhaustionReason> {
         assert_eq!(self.decision_level(), 0, "inprocess at level 0 only");
+        // The schedule: no round until the search has earned one.
+        if self.stats.conflicts - self.last_inprocess_conflicts
+            < self.config.inprocess.round_interval
+        {
+            return None;
+        }
         if !self.config.inprocess.enabled || !self.ok || self.tracer.is_some() {
             return None;
         }
@@ -250,6 +268,7 @@ impl Solver {
         if let Some(reason) = self.inprocess_stop() {
             return Some(reason);
         }
+        self.last_inprocess_conflicts = self.stats.conflicts;
         // Start from a fixpoint of level-0 propagation.
         if self.propagate().is_some() {
             self.ok = false;
@@ -258,31 +277,20 @@ impl Solver {
 
         let frozen = self.frozen_vars();
         let config = self.config.inprocess.clone();
-        // Conflict credit: a call only gets to spend as much
-        // vivification/probing effort as the search "earned" in
-        // conflicts since the previous call. On propagation-only
-        // workloads (most EMM bounds) this makes the round nearly free;
-        // on conflict-heavy ones the configured caps apply in full.
-        let credit = (self.stats.conflicts - self.last_inprocess_conflicts) as usize;
-        self.last_inprocess_conflicts = self.stats.conflicts;
-        let (vivify_budget, probe_budget) = if config.scale_to_conflicts {
-            (
-                config.vivify_clause_budget.min(credit),
-                config.probe_var_budget.min(credit),
-            )
-        } else {
-            (config.vivify_clause_budget, config.probe_var_budget)
-        };
+        // Trial assignments backtrack through `cancel_until`, which
+        // saves phases; the round must not leave its probes behind.
+        let phases = self.polarity.clone();
         let mut stopped = None;
         if config.vivify && stopped.is_none() && self.ok {
-            stopped = self.vivify_pass(&frozen, vivify_budget);
+            stopped = self.vivify_pass(&frozen, config.vivify_clause_budget);
         }
         if config.subsume && stopped.is_none() && self.ok {
-            stopped = self.subsume_pass();
+            stopped = self.subsume_pass(config.subsume_clause_budget);
         }
         if config.probe && stopped.is_none() && self.ok {
-            stopped = self.probe_pass(&frozen, probe_budget);
+            stopped = self.probe_pass(&frozen, config.probe_var_budget);
         }
+        self.polarity = phases;
         if stopped.is_none() && self.ok {
             self.stats.inprocess_rounds += 1;
         }
@@ -471,20 +479,26 @@ impl Solver {
     // ------------------------------------------------------------------
 
     /// One bounded subsumption sweep over live originals and learnts.
-    /// `C ⊆ D` deletes `D` when `D` is learnt (originals stay, they are
-    /// merely redundant); `C \ {l} ⊆ D ∧ ¬l ∈ D` strengthens `D` by
-    /// removing `¬l` (self-subsuming resolution), originals included —
-    /// strengthening preserves the clause id.
-    fn subsume_pass(&mut self) -> Option<ExhaustionReason> {
-        let cap = self.config.inprocess.subsume_clause_budget;
-        if cap == 0 {
+    /// The originals are taken from the rotating id cursor, so
+    /// successive rounds cover the whole id table; learnts fill what is
+    /// left of the `cap`. `C ⊆ D` deletes `D` when `D` is learnt
+    /// (originals stay, they are merely redundant);
+    /// `C \ {l} ⊆ D ∧ ¬l ∈ D` strengthens `D` by removing `¬l`
+    /// (self-subsuming resolution), originals included — strengthening
+    /// preserves the clause id.
+    fn subsume_pass(&mut self, cap: usize) -> Option<ExhaustionReason> {
+        let total = self.id_refs.len();
+        if cap == 0 || total == 0 {
             return None;
         }
         let mut cands: Vec<SubsumeCand> = Vec::new();
-        for idx in 0..self.id_refs.len() {
+        let start = self.subsume_cursor % total;
+        for step in 0..total {
             if cands.len() >= cap {
                 break;
             }
+            let idx = (start + step) % total;
+            self.subsume_cursor = idx + 1;
             let cref = self.id_refs[idx];
             if !cref.is_valid() || self.db.len(cref) < 2 {
                 continue;
@@ -524,11 +538,11 @@ impl Solver {
             return None;
         }
 
-        // Variable-occurrence lists over the candidate set.
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.num_vars()];
+        // Variable-occurrence lists over the candidates' variables only.
+        let mut occ: HashMap<Var, Vec<u32>> = HashMap::new();
         for (ci, cand) in cands.iter().enumerate() {
             for &l in &cand.lits {
-                occ[l.var().index()].push(ci as u32);
+                occ.entry(l.var()).or_default().push(ci as u32);
             }
         }
         // Shortest subsumers first: they prune the most.
@@ -545,7 +559,7 @@ impl Solver {
     fn subsume_sweep(
         &mut self,
         cands: &mut [SubsumeCand],
-        occ: &[Vec<u32>],
+        occ: &HashMap<Var, Vec<u32>>,
         order: &[u32],
     ) -> Option<ExhaustionReason> {
         let mut since_poll = 0usize;
@@ -566,10 +580,10 @@ impl Solver {
             let pivot = cands[ci]
                 .lits
                 .iter()
-                .map(|l| l.var().index())
-                .min_by_key(|&v| occ[v].len());
+                .map(|l| &occ[&l.var()])
+                .min_by_key(|list| list.len());
             let Some(pivot) = pivot else { continue };
-            for &di in &occ[pivot] {
+            for &di in pivot {
                 let di = di as usize;
                 if di == ci || cands[di].deleted {
                     continue;
@@ -768,9 +782,83 @@ mod tests {
                     .vivify_clause_budget(usize::MAX)
                     .subsume_clause_budget(usize::MAX)
                     .probe_var_budget(usize::MAX)
-                    .scale_to_conflicts(false),
+                    .round_interval(0),
             ),
         )
+    }
+
+    #[test]
+    fn rounds_fire_only_once_the_interval_is_earned() {
+        let mut s = Solver::new();
+        let interval = s.config.inprocess.round_interval;
+        assert_eq!(interval, 2000, "the default schedule");
+        let v = vars(&mut s, 3);
+        s.add_clause(&[v[0], v[1]]);
+        s.add_clause(&[v[0], v[1], v[2]]);
+        // No round below the interval.
+        s.stats.conflicts = interval - 1;
+        assert_eq!(s.inprocess(), None);
+        assert_eq!(s.stats.inprocess_rounds, 0);
+        assert_eq!(s.last_inprocess_conflicts, 0);
+        // A round at the interval.
+        s.stats.conflicts = interval;
+        assert_eq!(s.inprocess(), None);
+        assert_eq!(s.stats.inprocess_rounds, 1);
+        assert_eq!(s.last_inprocess_conflicts, interval);
+        // The count restarts from the round that fired.
+        s.stats.conflicts = 2 * interval - 1;
+        assert_eq!(s.inprocess(), None);
+        assert_eq!(s.stats.inprocess_rounds, 1);
+        s.stats.conflicts = 2 * interval;
+        assert_eq!(s.inprocess(), None);
+        assert_eq!(s.stats.inprocess_rounds, 2);
+    }
+
+    #[test]
+    fn a_round_leaves_saved_phases_untouched() {
+        let mut s = eager();
+        let v = vars(&mut s, 6);
+        for i in 0..4 {
+            s.add_clause(&[!v[i], v[i + 1]]);
+            s.add_clause(&[v[i], v[i + 1], v[i + 2]]);
+        }
+        for (i, l) in v.iter().enumerate() {
+            s.set_polarity(l.var(), i % 2 == 0);
+        }
+        let before = s.polarity.clone();
+        assert_eq!(s.inprocess(), None);
+        assert!(
+            s.stats().probed_literals > 0,
+            "the round assigned trial literals"
+        );
+        assert_eq!(s.polarity, before);
+    }
+
+    #[test]
+    fn subsumption_resumes_past_its_budget_window() {
+        let mut s = Solver::with_config(
+            SolverConfig::default().inprocess(
+                InprocessConfig::default()
+                    .vivify(false)
+                    .probe(false)
+                    .subsume_clause_budget(4)
+                    .round_interval(0),
+            ),
+        );
+        let v = vars(&mut s, 11);
+        // Four unrelated clauses fill the first window ...
+        for i in 0..4 {
+            s.add_clause(&[v[2 * i], v[2 * i + 1]]);
+        }
+        // ... and the self-subsuming pair (a ∨ b), (a ∨ ¬b ∨ c) lies
+        // beyond it.
+        s.add_clause(&[v[8], v[9]]);
+        s.add_clause(&[v[8], !v[9], v[10]]);
+        assert_eq!(s.inprocess(), None);
+        assert_eq!(s.stats().subsumed_literals, 0, "first window: no pair");
+        assert_eq!(s.inprocess(), None);
+        assert_eq!(s.stats().subsumed_literals, 1, "second window finds it");
+        assert_eq!(s.stats().inprocess_rounds, 2);
     }
 
     #[test]
@@ -922,7 +1010,7 @@ mod tests {
                     .vivify_clause_budget(64)
                     .subsume_clause_budget(64)
                     .probe_var_budget(64)
-                    .scale_to_conflicts(false),
+                    .round_interval(0),
             ),
         );
         let v = vars(&mut s, 4);
