@@ -84,15 +84,13 @@ fn is_inprocess_site(site: FaultSite) -> bool {
     )
 }
 
-/// The options a fault at `site` runs under. The default schedule waits
-/// for 2,000 conflicts between inprocessing rounds, which these small
-/// workloads rarely reach, so the inprocessing sites run with a round
-/// at every bound — otherwise they would hardly ever fire.
+/// The options a fault at `site` runs under. Inprocessing is off by
+/// default, so the inprocessing sites run with it switched on (a round
+/// at every bound) — otherwise they would never fire.
 fn site_options(site: FaultSite, options: impl Into<VerifyOptions>) -> VerifyOptions {
     let options = options.into();
     if is_inprocess_site(site) {
-        options
-            .solver(SolverConfig::default().inprocess(InprocessConfig::default().round_interval(0)))
+        options.solver(SolverConfig::default().inprocess(InprocessConfig::default().enabled(true)))
     } else {
         options
     }

@@ -1,18 +1,16 @@
 //! Differential testing of the solver inprocessing loop (vivification,
 //! subsumption + self-subsuming resolution, failed-literal probing) run
 //! between BMC bounds and k-induction depths: every workload is checked
-//! with inprocessing forced on every bound (`round_interval(0)`), on the
-//! default conflict-triggered schedule, and off
-//! (`InprocessConfig::disabled()`), each threaded through
-//! `VerifyOptions::solver`. Verdicts *and* counterexample traces must
-//! agree exactly — database rewriting may only ever remove models that
-//! were never reachable.
+//! with inprocessing switched on (`InprocessConfig::enabled`, a round
+//! at every bound) and on the default configuration (inprocessing off),
+//! each threaded through `VerifyOptions::solver`. Verdicts *and*
+//! counterexample traces must agree exactly — database rewriting may
+//! only ever remove models that were never reachable.
 //!
-//! The suite also guards against a vacuous differential: the forced
-//! legs assert through the engine's solver counters that inprocessing
-//! actually fired on these workloads. (The default schedule waits for
-//! 2,000 conflicts between rounds, which these small workloads rarely
-//! reach, so the forced cadence is what exercises the rewrites here.)
+//! The suite also guards against a vacuous differential: the on legs
+//! assert through the engine's solver counters that inprocessing
+//! actually fired on these workloads, and the default legs that it did
+//! not.
 
 use emm_aig::Design;
 use emm_bmc::{BmcEngine, BmcVerdict, KInduction, VerifyOptions};
@@ -74,40 +72,37 @@ fn verdict_shape(v: &BmcVerdict) -> (u8, usize) {
     }
 }
 
-/// The three inprocessing legs every workload runs.
+/// The two inprocessing legs every workload runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Leg {
-    /// A round at every bound and step depth.
-    Forced,
-    /// The default conflict-triggered schedule.
+    /// Inprocessing on: a round at every bound and step depth.
+    On,
+    /// `SolverConfig::default()`: inprocessing off.
     Default,
-    /// `InprocessConfig::disabled()`.
-    Off,
 }
 
 fn opts(leg: Leg, proofs: bool) -> VerifyOptions {
-    let inprocess = match leg {
-        Leg::Forced => InprocessConfig::default().round_interval(0),
-        Leg::Default => InprocessConfig::default(),
-        Leg::Off => InprocessConfig::disabled(),
+    let solver = match leg {
+        Leg::On => SolverConfig::default().inprocess(InprocessConfig::default().enabled(true)),
+        Leg::Default => SolverConfig::default(),
     };
-    VerifyOptions::default()
-        .proofs(proofs)
-        .solver(SolverConfig::default().inprocess(inprocess))
+    VerifyOptions::default().proofs(proofs).solver(solver)
 }
 
 fn run(design: &Design, prop: usize, bound: usize, leg: Leg, proofs: bool) -> BmcVerdict {
     let mut engine = BmcEngine::new(design, opts(leg, proofs));
     let run = engine.check(prop, bound).expect("no spurious traces");
-    // Inprocessing first fires between bounds 0 and 1, so a run decided
-    // at bound 0 legitimately never inprocesses.
-    if leg == Leg::Forced && run.depth_reached >= 1 {
-        let (_, stats) = engine.solver_stats();
-        assert!(
+    let (_, stats) = engine.solver_stats();
+    match leg {
+        // Inprocessing first fires between bounds 0 and 1, so a run
+        // decided at bound 0 legitimately never inprocesses.
+        Leg::On if run.depth_reached >= 1 => assert!(
             stats.inprocess_rounds > 0,
-            "the forced leg must actually inprocess (reached {})",
+            "the on leg must actually inprocess (reached {})",
             run.depth_reached
-        );
+        ),
+        Leg::On => {}
+        Leg::Default => assert_eq!(stats.inprocess_rounds, 0, "off by default"),
     }
     run.verdict
 }
@@ -125,16 +120,14 @@ fn inprocessing_agrees_on_quicksort_proofs() {
     });
     let bound = qs.cycle_bound();
     for (name, prop) in [("table1_p1_n3", qs.p1.0), ("table2_p2_n3", qs.p2.0)] {
-        let off = run(&qs.design, prop as usize, bound, Leg::Off, true);
+        let off = run(&qs.design, prop as usize, bound, Leg::Default, true);
         assert!(off.is_proof(), "{name}: expected a proof, got {off:?}");
-        for leg in [Leg::Forced, Leg::Default] {
-            let on = run(&qs.design, prop as usize, bound, leg, true);
-            assert_eq!(
-                verdict_shape(&on),
-                verdict_shape(&off),
-                "{name}: inprocessing {leg:?} {on:?} vs off {off:?}"
-            );
-        }
+        let on = run(&qs.design, prop as usize, bound, Leg::On, true);
+        assert_eq!(
+            verdict_shape(&on),
+            verdict_shape(&off),
+            "{name}: inprocessing on {on:?} vs off {off:?}"
+        );
     }
 }
 
@@ -156,21 +149,16 @@ fn inprocessing_agrees_on_quicksort_counterexamples() {
         });
         let prop = if use_p2 { qs.p2.0 } else { qs.p1.0 } as usize;
         let bound = qs.cycle_bound();
-        let off = run(&qs.design, prop, bound, Leg::Off, false);
+        let off = run(&qs.design, prop, bound, Leg::Default, false);
         let BmcVerdict::Counterexample(toff) = &off else {
             panic!("{bug:?}: expected a counterexample with inprocessing off, got {off:?}");
         };
-        for leg in [Leg::Forced, Leg::Default] {
-            let on = run(&qs.design, prop, bound, leg, false);
-            let BmcVerdict::Counterexample(ton) = &on else {
-                panic!("{bug:?}: expected a counterexample under {leg:?}, got {on:?}");
-            };
-            assert_eq!(ton.depth(), toff.depth(), "{bug:?} {leg:?}: depths diverge");
-            assert_eq!(
-                ton.frames, toff.frames,
-                "{bug:?} {leg:?}: input frames diverge"
-            );
-        }
+        let on = run(&qs.design, prop, bound, Leg::On, false);
+        let BmcVerdict::Counterexample(ton) = &on else {
+            panic!("{bug:?}: expected a counterexample with inprocessing on, got {on:?}");
+        };
+        assert_eq!(ton.depth(), toff.depth(), "{bug:?}: depths diverge");
+        assert_eq!(ton.frames, toff.frames, "{bug:?}: input frames diverge");
     }
 }
 
@@ -184,15 +172,13 @@ fn inprocessing_agrees_on_random_designs() {
     for round in 0..12 {
         let d = random_mem::design(&mut rng);
         let proofs = round % 2 == 0;
-        let off = run(&d, 0, 6, Leg::Off, proofs);
-        for leg in [Leg::Forced, Leg::Default] {
-            let on = run(&d, 0, 6, leg, proofs);
-            assert_eq!(
-                verdict_shape(&on),
-                verdict_shape(&off),
-                "round {round}: inprocessing {leg:?} {on:?} vs off {off:?}"
-            );
-        }
+        let off = run(&d, 0, 6, Leg::Default, proofs);
+        let on = run(&d, 0, 6, Leg::On, proofs);
+        assert_eq!(
+            verdict_shape(&on),
+            verdict_shape(&off),
+            "round {round}: inprocessing on {on:?} vs off {off:?}"
+        );
     }
 }
 
@@ -216,20 +202,19 @@ fn inprocessing_agrees_on_kinduction_closures() {
         ),
     ];
     for (name, design, prop, close_k) in workloads {
-        for leg in [Leg::Forced, Leg::Default, Leg::Off] {
+        for leg in [Leg::On, Leg::Default] {
             let mut engine = KInduction::new(design, opts(leg, false));
             let verdict = engine.check(prop, 10).expect("k-induction run").verdict;
             assert!(
                 matches!(verdict, BmcVerdict::Proved { k } if k == close_k),
                 "{name} {leg:?}: closes at k = {close_k}, got {verdict:?}"
             );
-            if leg == Leg::Forced {
-                let (_, step_stats) = engine.step_solver_stats();
-                let (_, base_stats) = engine.base().solver_stats();
-                assert!(
-                    step_stats.inprocess_rounds + base_stats.inprocess_rounds > 0,
-                    "{name}: the forced leg must actually inprocess"
-                );
+            let (_, step_stats) = engine.step_solver_stats();
+            let (_, base_stats) = engine.base().solver_stats();
+            let rounds = step_stats.inprocess_rounds + base_stats.inprocess_rounds;
+            match leg {
+                Leg::On => assert!(rounds > 0, "{name}: the on leg must actually inprocess"),
+                Leg::Default => assert_eq!(rounds, 0, "{name}: off by default"),
             }
         }
     }

@@ -10,20 +10,19 @@
 //!
 //! # Scheduling
 //!
-//! A call runs a round only when the search has *earned* one: at least
-//! [`InprocessConfig::round_interval`] conflicts since the last round
-//! that fired (2,000 by default). Every other call returns at once,
-//! before any propagation or allocation. The BMC queries are
-//! propagation-bound — conflicts are rare, most termination checks
-//! answer SAT — so on those workloads most bounds skip the round, and
-//! rewriting a database the search never struggles with is not paid
-//! for. This is the conflict-interval scheduling of CaDiCaL and Kissat
-//! (after Järvisalo, Heule & Biere, "Inprocessing Rules", IJCAR 2012).
+//! Inprocessing is off by default ([`InprocessConfig::enabled`]); a
+//! disabled call returns at once, before any propagation or allocation,
+//! so the engine's between-bounds call sites cost nothing. The BMC
+//! queries are propagation-bound — conflicts are rare, most termination
+//! checks answer SAT — and a round at every bound rewrote a database the
+//! search never struggled with: it cost far more time than it saved in
+//! conflicts. Enable it (`InprocessConfig::default().enabled(true)`) for
+//! conflict-heavy searches; every call then runs one round.
 //!
-//! A round that fires runs every enabled technique at its configured
-//! cap (see [`InprocessConfig`]). Each technique resumes where the
-//! previous round stopped through its own rotating cursor (clause id
-//! for vivification and subsumption, variable index for probing), so
+//! A round runs every enabled technique at its configured cap (see
+//! [`InprocessConfig`]). Each technique resumes where the previous
+//! round stopped through its own rotating cursor (clause id for
+//! vivification and subsumption, variable index for probing), so
 //! repeated rounds reach the whole database. A round leaves the saved
 //! phases as it found them: vivification and probing backtrack through
 //! the ordinary trail, and their trial assignments must not steer the
@@ -69,7 +68,6 @@
 //! sound — and `SolverStats::inprocess_rounds` counts only passes that
 //! ran to completion.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::clause::{ClauseId, ClauseRef};
@@ -80,14 +78,14 @@ use crate::solver::Solver;
 /// Knobs of the inprocessing loop ([`Solver::inprocess`]), nested in
 /// [`SolverConfig::inprocess`](crate::SolverConfig::inprocess).
 ///
-/// The defaults enable every technique. A call runs a round only once
-/// the search has produced [`round_interval`](Self::round_interval)
-/// conflicts since the last round; the round then touches at most the
-/// capped slice of the database, and the rotating cursors spread
-/// successive rounds across all of it.
+/// The master switch is off by default; the per-technique switches
+/// default on, so `InprocessConfig::default().enabled(true)` runs every
+/// technique. A round touches at most the capped slice of the database,
+/// and the rotating cursors spread successive rounds across all of it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InprocessConfig {
-    /// Master switch; `false` makes [`Solver::inprocess`] a no-op.
+    /// Master switch; `false` (the default) makes [`Solver::inprocess`]
+    /// a no-op.
     pub enabled: bool,
     /// Run clause vivification.
     pub vivify: bool,
@@ -102,35 +100,26 @@ pub struct InprocessConfig {
     pub subsume_clause_budget: usize,
     /// Maximum variables probed per round (both phases each).
     pub probe_var_budget: usize,
-    /// Conflicts the search must produce since the last round that
-    /// fired before a call runs the next one; every call before that is
-    /// a constant-time no-op. `0` runs a round on every call (the
-    /// unit-test configuration).
-    pub round_interval: u64,
 }
 
 impl Default for InprocessConfig {
     fn default() -> InprocessConfig {
         InprocessConfig {
-            enabled: true,
+            enabled: false,
             vivify: true,
             subsume: true,
             probe: true,
             vivify_clause_budget: 512,
             subsume_clause_budget: 4096,
             probe_var_budget: 256,
-            round_interval: 2000,
         }
     }
 }
 
 impl InprocessConfig {
-    /// A configuration with inprocessing fully off.
+    /// A configuration with inprocessing fully off (the default).
     pub fn disabled() -> InprocessConfig {
-        InprocessConfig {
-            enabled: false,
-            ..InprocessConfig::default()
-        }
+        InprocessConfig::default().enabled(false)
     }
 
     /// Sets the master switch.
@@ -174,13 +163,6 @@ impl InprocessConfig {
         self.probe_var_budget = n;
         self
     }
-
-    /// Sets the conflicts between rounds (see the field docs); `0`
-    /// runs a round on every call.
-    pub fn round_interval(mut self, conflicts: u64) -> InprocessConfig {
-        self.round_interval = conflicts;
-        self
-    }
 }
 
 /// Governor/deadline poll cadence: once per this many vivified clauses
@@ -211,9 +193,9 @@ fn var_sig(lits: &[Lit]) -> u64 {
 impl Solver {
     /// Runs one bounded inprocessing round — vivification, subsumption +
     /// self-subsuming resolution, failed-literal probing (each
-    /// individually switchable via [`InprocessConfig`]) — if the search
-    /// has produced [`InprocessConfig::round_interval`] conflicts since
-    /// the last round that fired; otherwise returns `None` at once.
+    /// individually switchable via [`InprocessConfig`]) when
+    /// [`InprocessConfig::enabled`] is set; otherwise returns `None` at
+    /// once.
     ///
     /// Returns `None` when the round completed (or did not run) and
     /// `Some(reason)` when the governor or the budget deadline stopped
@@ -231,10 +213,8 @@ impl Solver {
     ///
     /// ```
     /// use emm_sat::{InprocessConfig, SolveResult, Solver, SolverConfig};
-    /// // A fresh solver has produced no conflicts yet; a zero interval
-    /// // runs the round anyway.
     /// let mut s = Solver::with_config(SolverConfig::default().inprocess(
-    ///     InprocessConfig::default().round_interval(0),
+    ///     InprocessConfig::default().enabled(true),
     /// ));
     /// let a = s.new_var().positive();
     /// let b = s.new_var().positive();
@@ -254,12 +234,6 @@ impl Solver {
     /// Panics if called while the solver is not at decision level zero.
     pub fn inprocess(&mut self) -> Option<ExhaustionReason> {
         assert_eq!(self.decision_level(), 0, "inprocess at level 0 only");
-        // The schedule: no round until the search has earned one.
-        if self.stats.conflicts - self.last_inprocess_conflicts
-            < self.config.inprocess.round_interval
-        {
-            return None;
-        }
         if !self.config.inprocess.enabled || !self.ok || self.tracer.is_some() {
             return None;
         }
@@ -268,7 +242,6 @@ impl Solver {
         if let Some(reason) = self.inprocess_stop() {
             return Some(reason);
         }
-        self.last_inprocess_conflicts = self.stats.conflicts;
         // Start from a fixpoint of level-0 propagation.
         if self.propagate().is_some() {
             self.ok = false;
@@ -538,11 +511,11 @@ impl Solver {
             return None;
         }
 
-        // Variable-occurrence lists over the candidates' variables only.
-        let mut occ: HashMap<Var, Vec<u32>> = HashMap::new();
+        // Variable-occurrence lists, indexed by variable.
+        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.num_vars()];
         for (ci, cand) in cands.iter().enumerate() {
             for &l in &cand.lits {
-                occ.entry(l.var()).or_default().push(ci as u32);
+                occ[l.var().index()].push(ci as u32);
             }
         }
         // Shortest subsumers first: they prune the most.
@@ -559,7 +532,7 @@ impl Solver {
     fn subsume_sweep(
         &mut self,
         cands: &mut [SubsumeCand],
-        occ: &HashMap<Var, Vec<u32>>,
+        occ: &[Vec<u32>],
         order: &[u32],
     ) -> Option<ExhaustionReason> {
         let mut since_poll = 0usize;
@@ -580,7 +553,7 @@ impl Solver {
             let pivot = cands[ci]
                 .lits
                 .iter()
-                .map(|l| &occ[&l.var()])
+                .map(|l| &occ[l.var().index()])
                 .min_by_key(|list| list.len());
             let Some(pivot) = pivot else { continue };
             for &di in pivot {
@@ -782,34 +755,26 @@ mod tests {
                     .vivify_clause_budget(usize::MAX)
                     .subsume_clause_budget(usize::MAX)
                     .probe_var_budget(usize::MAX)
-                    .round_interval(0),
+                    .enabled(true),
             ),
         )
     }
 
     #[test]
-    fn rounds_fire_only_once_the_interval_is_earned() {
+    fn default_config_is_off_and_enabled_runs_a_round_per_call() {
         let mut s = Solver::new();
-        let interval = s.config.inprocess.round_interval;
-        assert_eq!(interval, 2000, "the default schedule");
+        assert!(!s.config.inprocess.enabled, "off by default");
         let v = vars(&mut s, 3);
         s.add_clause(&[v[0], v[1]]);
         s.add_clause(&[v[0], v[1], v[2]]);
-        // No round below the interval.
-        s.stats.conflicts = interval - 1;
         assert_eq!(s.inprocess(), None);
         assert_eq!(s.stats.inprocess_rounds, 0);
-        assert_eq!(s.last_inprocess_conflicts, 0);
-        // A round at the interval.
-        s.stats.conflicts = interval;
+        assert_eq!(s.stats.vivified_clauses, 0);
+        // Switched on, every call runs a round, whatever the conflicts.
+        s.config.inprocess.enabled = true;
         assert_eq!(s.inprocess(), None);
         assert_eq!(s.stats.inprocess_rounds, 1);
-        assert_eq!(s.last_inprocess_conflicts, interval);
-        // The count restarts from the round that fired.
-        s.stats.conflicts = 2 * interval - 1;
-        assert_eq!(s.inprocess(), None);
-        assert_eq!(s.stats.inprocess_rounds, 1);
-        s.stats.conflicts = 2 * interval;
+        assert_eq!(s.stats.vivified_clauses, 1);
         assert_eq!(s.inprocess(), None);
         assert_eq!(s.stats.inprocess_rounds, 2);
     }
@@ -842,7 +807,7 @@ mod tests {
                     .vivify(false)
                     .probe(false)
                     .subsume_clause_budget(4)
-                    .round_interval(0),
+                    .enabled(true),
             ),
         );
         let v = vars(&mut s, 11);
@@ -1010,7 +975,7 @@ mod tests {
                     .vivify_clause_budget(64)
                     .subsume_clause_budget(64)
                     .probe_var_budget(64)
-                    .round_interval(0),
+                    .enabled(true),
             ),
         );
         let v = vars(&mut s, 4);

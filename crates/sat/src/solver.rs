@@ -73,8 +73,7 @@ pub enum RestartPolicy {
 /// inherits it. Existing struct-literal call sites keep working
 /// unchanged; the two new knob groups ([`RestartPolicy`] and
 /// [`InprocessConfig`]) default to the previous behaviour
-/// (Luby restarts) and to inprocessing-on, one capped round per
-/// 2,000 conflicts.
+/// (Luby restarts) and to inprocessing-off.
 ///
 /// ```
 /// use emm_sat::{InprocessConfig, RestartPolicy, SolverConfig};
@@ -115,8 +114,7 @@ pub struct SolverConfig {
     /// always backjumps to the asserting level.
     pub chrono_backtrack: Option<u32>,
     /// The inprocessing loop's knobs (see [`Solver::inprocess`]);
-    /// enabled by default, with a capped round once the search has
-    /// produced 2,000 conflicts since the last one.
+    /// disabled by default.
     pub inprocess: InprocessConfig,
 }
 
@@ -313,9 +311,6 @@ pub struct SolverStats {
     /// Inprocessing passes that ran to completion (an early stop by the
     /// governor or the budget deadline does not count).
     pub inprocess_rounds: u64,
-    /// Solve calls ([`Solver::solve`], [`Solver::solve_with`],
-    /// [`Solver::solve_with_assumptions`]), whatever their answer.
-    pub solve_calls: u64,
 }
 
 /// One entry of a watch list. `blocker` is a cached literal of the clause
@@ -430,9 +425,6 @@ pub struct Solver {
     pub(crate) vivify_cursor: usize,
     pub(crate) subsume_cursor: usize,
     pub(crate) probe_cursor: usize,
-    /// Lifetime conflict count when the last inprocessing round fired —
-    /// the base of the round schedule (`InprocessConfig::round_interval`).
-    pub(crate) last_inprocess_conflicts: u64,
 }
 
 impl Default for Solver {
@@ -488,7 +480,6 @@ impl Solver {
             vivify_cursor: 0,
             subsume_cursor: 0,
             probe_cursor: 0,
-            last_inprocess_conflicts: 0,
         }
     }
 
@@ -743,7 +734,6 @@ impl Solver {
     /// assert_eq!(s.solve(), SolveResult::Sat);
     /// ```
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.stats.solve_calls += 1;
         self.model.clear();
         self.conflict_set.clear();
         self.last_core = None;
@@ -2023,25 +2013,6 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Sat);
         let after: Vec<_> = v.iter().map(|&l| s.model_value(l)).collect();
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn solve_calls_count_every_entry_point_and_answer() {
-        let mut s = Solver::new();
-        let a = s.new_var().positive();
-        let b = s.new_var().positive();
-        s.add_clause(&[a, b]);
-        assert_eq!(s.stats().solve_calls, 0);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.solve_with(&[!a, !b]), SolveResult::Unsat);
-        assert_eq!(s.solve_with_assumptions(&[a]), SolveResult::Sat);
-        assert_eq!(s.stats().solve_calls, 3);
-        // A permanently unsatisfiable solver still counts the call.
-        s.add_clause(&[!a]);
-        s.add_clause(&[!b]);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        assert_eq!(s.stats().solve_calls, 5);
     }
 
     #[test]
