@@ -8,7 +8,7 @@
 //! reported in the paper's ref. [18]).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use emm_core::{EmmOptions, ForwardingEncoding};
 use emm_designs::memcpy::{Memcpy, MemcpyConfig};
 use emm_designs::quicksort::{QuickSort, QuickSortConfig};
@@ -16,14 +16,10 @@ use emm_designs::quicksort::{QuickSort, QuickSortConfig};
 fn check(design: &emm_aig::Design, prop: usize, depth: usize, encoding: ForwardingEncoding) {
     let mut engine = BmcEngine::new(
         design,
-        BmcOptions {
-            proofs: true,
-            emm: EmmOptions {
-                encoding,
-                ..EmmOptions::default()
-            },
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default().proofs(true).emm(EmmOptions {
+            encoding,
+            ..EmmOptions::default()
+        }),
     );
     let run = engine.check(prop, depth).expect("run");
     assert!(

@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use emm_bench::{secs, Table};
-use emm_bmc::{pba, BmcEngine, BmcOptions, BmcVerdict};
+use emm_bmc::{pba, BmcEngine, BmcVerdict, VerifyOptions};
 use emm_core::explicit_model;
 use emm_designs::quicksort::{QuickSort, QuickSortConfig};
 
@@ -68,10 +68,10 @@ fn main() {
             bug: Default::default(),
         });
         let prop = qs.p2.0 as usize;
-        let config = pba::PbaConfig::default()
+        let mut config = pba::PbaConfig::default()
             .stability_depth(10)
-            .max_depth(qs.cycle_bound())
-            .wall_limit(Some(timeout));
+            .max_depth(qs.cycle_bound());
+        config.pipeline.wall_limit = Some(timeout);
 
         // --- EMM + PBA (with the refinement loop: PBA only preserves
         // correctness up to the discovery depth, so proofs beyond it may
@@ -93,13 +93,11 @@ fn main() {
                 // clean proof-only time.
                 let mut engine = BmcEngine::new(
                     &qs.design,
-                    BmcOptions {
-                        proofs: true,
-                        abstraction: Some(result.abstraction.clone()),
-                        validate_traces: false,
-                        wall_limit: Some(timeout),
-                        ..BmcOptions::default()
-                    },
+                    VerifyOptions::default()
+                        .proofs(true)
+                        .abstraction(Some(result.abstraction.clone()))
+                        .validate_traces(false)
+                        .wall_limit(Some(timeout)),
                 );
                 let run = engine.check(prop, qs.cycle_bound()).expect("proof rerun");
                 match run.verdict {
@@ -113,10 +111,10 @@ fn main() {
 
         // --- Explicit + PBA ---------------------------------------------
         let (expl, _) = explicit_model(&qs.design);
-        let expl_config = pba::PbaConfig::default()
+        let mut expl_config = pba::PbaConfig::default()
             .stability_depth(10)
-            .max_depth(qs.cycle_bound())
-            .wall_limit(Some(timeout));
+            .max_depth(qs.cycle_bound());
+        expl_config.pipeline.wall_limit = Some(timeout);
         let expl_disc = pba::discover(&expl, prop, &expl_config).expect("explicit discovery");
         let stable = expl_disc.stable_at.is_some();
         let expl_ff = if stable {
@@ -136,13 +134,11 @@ fn main() {
         let expl_proof_time = if stable {
             let mut engine = BmcEngine::new(
                 &expl,
-                BmcOptions {
-                    proofs: true,
-                    abstraction: Some(expl_disc.abstraction.clone()),
-                    validate_traces: false,
-                    wall_limit: Some(timeout),
-                    ..BmcOptions::default()
-                },
+                VerifyOptions::default()
+                    .proofs(true)
+                    .abstraction(Some(expl_disc.abstraction.clone()))
+                    .validate_traces(false)
+                    .wall_limit(Some(timeout)),
             );
             let run = engine
                 .check(prop, qs.cycle_bound())

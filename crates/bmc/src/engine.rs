@@ -19,7 +19,7 @@
 //! clauses under activation groups retired on refutation, and cleared
 //! counterexample bounds skipped on repeated [`BmcEngine::check`] calls.
 //! The restart-from-scratch baseline is kept behind
-//! [`BmcOptions::incremental`]` = false`.
+//! [`PipelineOptions::incremental`](crate::PipelineOptions::incremental)` = false`.
 //!
 //! The engine configurations map to the paper's algorithms:
 //!
@@ -56,184 +56,24 @@
 //! level). Literals handed to the solver as *assumptions* bypass
 //! `add_clause`, so the engine materializes them first (see
 //! `Ctx::assumption`). Disable or tune the layer through
-//! [`BmcOptions::simplify`]; its effect is observable via
+//! [`PipelineOptions::simplify`](crate::PipelineOptions::simplify); its effect is observable via
 //! [`BmcEngine::simplify_stats`] and [`BmcEngine::solver_stats`].
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
-use emm_aig::{Design, FraigConfig, FraigStats, RewriteConfig, RewriteStats, Trace};
-use emm_core::{EmmEncoder, EmmOptions, MemoryShape, SelectorGranularity};
+use emm_aig::{Design, FraigStats, RewriteStats, Trace};
+use emm_core::{EmmEncoder, MemoryShape, SelectorGranularity};
 use emm_sat::{
-    Budget, CnfSink, ExhaustionReason, FaultSite, Lit, ResourceGovernor, Simplifier,
-    SimplifyConfig, SimplifyStats, SolveResult, Solver,
+    CnfSink, ExhaustionReason, FaultSite, Lit, ResourceGovernor, Simplifier, SimplifyStats,
+    SolveResult, Solver,
 };
 
 use crate::lfp::LfpBuilder;
 use crate::model::ReducedModel;
 use crate::options::VerifyOptions;
 use crate::unroll::{UnrollConfig, Unroller};
-
-/// Engine options — the historical flat form, kept as a thin shim.
-///
-/// # Migration
-///
-/// New code should build a [`VerifyOptions`] instead: the same knobs,
-/// grouped into a shared [`crate::PipelineOptions`] block with chainable
-/// builder methods, accepted everywhere this struct is (the engine, the
-/// PBA drivers, the verification server). Existing call sites keep
-/// working unchanged — [`BmcEngine::new`] takes `impl Into<VerifyOptions>`
-/// and `From<BmcOptions>` provides the conversion — but the struct is
-/// frozen: new pipeline knobs (e.g. the parallel `workers` count) appear
-/// only on [`VerifyOptions`].
-///
-/// ```
-/// use emm_bmc::{BmcOptions, VerifyOptions};
-///
-/// // Old style (still compiles):
-/// let old = BmcOptions { proofs: true, ..BmcOptions::default() };
-/// // New style:
-/// let new = VerifyOptions::default().proofs(true);
-/// assert_eq!(VerifyOptions::from(old).proofs, new.proofs);
-/// ```
-#[derive(Clone, Debug)]
-pub struct BmcOptions {
-    /// EMM encoder options (selector granularity, encoding, eq. (6)).
-    pub emm: EmmOptions,
-    /// Run the induction-style termination checks (BMC-1/BMC-3). When
-    /// `false` the engine is the falsification-only BMC-2 of Fig. 2.
-    pub proofs: bool,
-    /// Per-SAT-call resource budget.
-    pub solve_budget: Budget,
-    /// Overall wall-clock limit for a `check` call.
-    pub wall_limit: Option<Duration>,
-    /// Validate counterexample traces by re-simulation before returning
-    /// them (on by default; a failure indicates an engine bug).
-    pub validate_traces: bool,
-    /// Freeze an abstraction: latches/memories outside the kept sets are
-    /// removed from the model (the paper's *reduced model*).
-    pub abstraction: Option<AbstractionSpec>,
-    /// Enable proof-based-abstraction reason discovery: per-latch and
-    /// per-memory selectors are created and every UNSAT counterexample
-    /// check reports which of them the refutation used.
-    pub pba_discovery: bool,
-    /// Circuit simplification on the unrolled formula (structural hashing,
-    /// lazy emission); see [`emm_sat::simplify`]. Enabled by default; use
-    /// [`SimplifyConfig::disabled`] for the naive encoding.
-    pub simplify: SimplifyConfig,
-    /// AIG-level fraiging of the design before any unrolling (see
-    /// [`emm_aig::fraig`]): functionally equivalent cones are merged once,
-    /// at the netlist level, so the saving multiplies across every frame
-    /// of every context. Enabled by default; use
-    /// [`FraigConfig::disabled`] for the unreduced netlist. The engine
-    /// works on the reduced model internally but still validates
-    /// counterexample traces against the original design.
-    ///
-    /// The pass runs inside [`BmcEngine::new`], *before* any
-    /// [`BmcOptions::wall_limit`] deadline exists; its cost is bounded by
-    /// the deterministic [`FraigConfig`] caps (`max_checks`,
-    /// `sat_conflicts`) instead. Callers constructing many engines over
-    /// the same design (abstraction loops) should fraig once and disable
-    /// it per engine, as [`crate::pba`] does.
-    pub fraig: FraigConfig,
-    /// Solve **incrementally across bounds** (the default): every context
-    /// keeps one long-lived solver for the whole bound loop, each bound
-    /// only emits the new frame's clauses, the per-bound property clause
-    /// is added under an activation group and physically retired
-    /// ([`emm_sat::Solver::retire_group`]) once its bound is refuted, and
-    /// counterexample checks already proven UNSAT are skipped on repeated
-    /// [`BmcEngine::check`] calls (what makes [`crate::pba`]'s
-    /// depth-by-depth discovery loop linear instead of quadratic in
-    /// solver calls).
-    ///
-    /// When `false` the engine rebuilds every context — solver, unroller,
-    /// EMM, LFP, simplifier — from scratch at each bound, re-encoding
-    /// frames `0..=k` and solving cold: the paper-era baseline, kept for
-    /// differential testing and for the bench harness's `incremental`
-    /// mode (which measures one against the other).
-    ///
-    /// # Examples
-    ///
-    /// Both modes must agree on verdicts; the incremental engine just
-    /// gets there without re-encoding:
-    ///
-    /// ```
-    /// use emm_aig::{Design, LatchInit};
-    /// use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
-    ///
-    /// let mut d = Design::new();
-    /// let count = d.new_latch_word("count", 3, LatchInit::Zero);
-    /// let next = d.aig.inc(&count);
-    /// d.set_next_word(&count, &next);
-    /// let bad = d.aig.eq_const(&count, 5);
-    /// d.add_property("reaches5", bad);
-    /// d.check().expect("well-formed");
-    ///
-    /// let mut incremental = BmcEngine::new(&d, BmcOptions::default());
-    /// let mut restart = BmcEngine::new(
-    ///     &d,
-    ///     BmcOptions { incremental: false, ..BmcOptions::default() },
-    /// );
-    /// let a = incremental.check(0, 8).unwrap();
-    /// let b = restart.check(0, 8).unwrap();
-    /// assert!(matches!(a.verdict, BmcVerdict::Counterexample(ref t) if t.depth() == 6));
-    /// assert!(matches!(b.verdict, BmcVerdict::Counterexample(ref t) if t.depth() == 6));
-    /// // Each bound's wall time is recorded either way (bounds 0..=5).
-    /// assert_eq!(a.per_bound_seconds.len(), 6);
-    /// assert_eq!(b.per_bound_seconds.len(), 6);
-    /// ```
-    pub incremental: bool,
-    /// Cut-based AIG rewriting of the design before any unrolling (see
-    /// [`emm_aig::rewrite`]): k-feasible cut cones are re-synthesized from
-    /// NPN-canonical implementations wherever that strictly reduces the
-    /// AND count, with accepted rewrites chosen by a global
-    /// non-overlapping selection over their fanout-free cones. Runs
-    /// **before** the fraig pass — rewriting restructures inequivalent
-    /// logic, and its rebuild hands fraig a freshly strashed graph.
-    /// Enabled by default (4-input cuts, global selection); the knobs
-    /// thread straight through: `RewriteConfig { cut_size, global_select,
-    /// .. }`, with [`RewriteConfig::wide`] for 6-input `u64`-table cuts
-    /// (the bench harness's `rewrite6_fraig` mode) and
-    /// [`RewriteConfig::disabled`] for the unrewritten netlist. Like
-    /// fraiging, the pass is deterministic, runs inside
-    /// [`BmcEngine::new`], and multi-engine drivers should pre-reduce
-    /// once instead (see [`crate::pba`]).
-    pub rewrite: RewriteConfig,
-    /// Pipeline-wide resource governor: a deadline, lifetime conflict /
-    /// propagation caps, a solver memory ceiling, and a shared
-    /// cooperative cancellation token, threaded through every stage —
-    /// the rewrite and fraig preprocessing in [`BmcEngine::new`], the
-    /// EMM constraint encoder, the frame unrolling loop, and both
-    /// incremental solvers. A trip
-    /// anywhere degrades gracefully: preprocessing returns its
-    /// best-so-far reduction (with `interrupted` stats), and `check`
-    /// returns [`BmcVerdict::Unknown`] naming the reason and the
-    /// deepest cleanly refuted bound. Keep a clone and call
-    /// [`ResourceGovernor::cancel`] to stop a run from another thread;
-    /// resume by raising the limits via [`BmcEngine::set_governor`] and
-    /// calling [`BmcEngine::check`] again.
-    pub governor: ResourceGovernor,
-}
-
-impl Default for BmcOptions {
-    fn default() -> Self {
-        BmcOptions {
-            emm: EmmOptions::default(),
-            proofs: false,
-            solve_budget: Budget::unlimited(),
-            wall_limit: None,
-            validate_traces: true,
-            abstraction: None,
-            pba_discovery: false,
-            simplify: SimplifyConfig::default(),
-            incremental: true,
-            fraig: FraigConfig::default(),
-            rewrite: RewriteConfig::default(),
-            governor: ResourceGovernor::unlimited(),
-        }
-    }
-}
 
 /// A frozen abstraction (from PBA discovery or elsewhere).
 #[derive(Clone, Debug)]
@@ -368,9 +208,10 @@ impl BmcVerdict {
 /// over the reported `check` call.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseSeconds {
-    /// Cut-based AIG rewriting ([`BmcOptions::rewrite`]).
+    /// Cut-based AIG rewriting
+    /// ([`PipelineOptions::rewrite`](crate::PipelineOptions::rewrite)).
     pub rewrite: f64,
-    /// Fraig reduction ([`BmcOptions::fraig`]).
+    /// Fraig reduction ([`PipelineOptions::fraig`](crate::PipelineOptions::fraig)).
     pub fraig: f64,
     /// Frame unrolling plus EMM/LFP constraint emission.
     pub encode: f64,
@@ -486,7 +327,8 @@ pub struct BmcEngine<'d> {
     latch_reasons: HashSet<usize>,
     memory_reasons: HashSet<usize>,
     /// Per-bound property clauses physically retired after their bound
-    /// was refuted (see [`BmcOptions::incremental`]).
+    /// was refuted (see
+    /// [`PipelineOptions::incremental`](crate::PipelineOptions::incremental)).
     prop_clauses_retired: u64,
     /// The property the termination (proof) queries have run for. Those
     /// queries are bound-exact (see `process_bound`), so switching a
@@ -494,7 +336,8 @@ pub struct BmcEngine<'d> {
     /// otherwise the new property's backward-induction checks could never
     /// run at the already-unrolled bounds and proofs would be missed.
     proofs_prop: Option<usize>,
-    /// The governor in force: [`BmcOptions::governor`] with the current
+    /// The governor in force:
+    /// [`PipelineOptions::governor`](crate::PipelineOptions::governor) with the current
     /// `check` call's wall-limit deadline min-combined in. Installed on
     /// every context's solver and EMM encoder.
     governor: ResourceGovernor,
@@ -522,7 +365,7 @@ impl<'d> BmcEngine<'d> {
     ///
     /// ```
     /// use emm_aig::{Design, LatchInit};
-    /// use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+    /// use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
     ///
     /// let mut d = Design::new();
     /// let count = d.new_latch_word("count", 4, LatchInit::Zero);
@@ -532,15 +375,14 @@ impl<'d> BmcEngine<'d> {
     /// d.add_property("reaches9", bad);
     /// d.check().expect("well-formed");
     ///
-    /// let mut engine = BmcEngine::new(&d, BmcOptions::default());
+    /// let mut engine = BmcEngine::new(&d, VerifyOptions::default());
     /// let run = engine.check(0, 20).expect("no spurious traces");
     /// match run.verdict {
     ///     BmcVerdict::Counterexample(trace) => assert_eq!(trace.depth(), 10),
     ///     other => panic!("expected a counterexample, got {other:?}"),
     /// }
     /// ```
-    pub fn new(design: &'d Design, options: impl Into<VerifyOptions>) -> BmcEngine<'d> {
-        let options = options.into();
+    pub fn new(design: &'d Design, options: VerifyOptions) -> BmcEngine<'d> {
         // Preprocessing pipeline on a private copy: rewrite → fraig (see
         // [`ReducedModel::reduce`] for the ordering).
         let reduced = ReducedModel::reduce(
@@ -563,10 +405,7 @@ impl<'d> BmcEngine<'d> {
     ///
     /// Panics if the design is malformed or an abstraction mask has the
     /// wrong length.
-    pub fn with_model(
-        reduced: &'d ReducedModel<'_>,
-        options: impl Into<VerifyOptions>,
-    ) -> BmcEngine<'d> {
+    pub fn with_model(reduced: &'d ReducedModel<'_>, options: VerifyOptions) -> BmcEngine<'d> {
         let shallow = ReducedModel {
             original: reduced.original,
             model: Cow::Borrowed(reduced.model()),
@@ -575,7 +414,7 @@ impl<'d> BmcEngine<'d> {
             rewrite_seconds: reduced.rewrite_seconds,
             fraig_seconds: reduced.fraig_seconds,
         };
-        Self::from_reduced(shallow, options.into())
+        Self::from_reduced(shallow, options)
     }
 
     fn from_reduced(reduced: ReducedModel<'d>, mut options: VerifyOptions) -> BmcEngine<'d> {
@@ -696,8 +535,9 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// The model the engine actually encodes: the original design, or the
-    /// reduced copy when [`BmcOptions::rewrite`] and/or
-    /// [`BmcOptions::fraig`] are enabled.
+    /// reduced copy when
+    /// [`PipelineOptions::rewrite`](crate::PipelineOptions::rewrite) and/or
+    /// [`PipelineOptions::fraig`](crate::PipelineOptions::fraig) are enabled.
     pub fn model(&self) -> &Design {
         &self.model
     }
@@ -1132,7 +972,7 @@ impl<'d> BmcEngine<'d> {
 
     /// Drops and recreates every context: fresh solvers, unrollers, EMM
     /// and LFP state (the restart-from-scratch baseline of
-    /// [`BmcOptions::incremental`]` = false`).
+    /// [`PipelineOptions::incremental`](crate::PipelineOptions::incremental)` = false`).
     fn rebuild_contexts(&mut self) {
         self.anchored = Self::make_ctx(&self.model, &self.options, &self.governor, true);
         self.floating = self

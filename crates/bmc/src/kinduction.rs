@@ -136,8 +136,7 @@ impl<'d> KInduction<'d> {
     ///
     /// Panics if the design is malformed or an abstraction mask has the
     /// wrong length.
-    pub fn new(design: &'d Design, options: impl Into<VerifyOptions>) -> KInduction<'d> {
-        let options = options.into();
+    pub fn new(design: &'d Design, options: VerifyOptions) -> KInduction<'d> {
         let base = BmcEngine::new(design, Self::base_options(&options));
         Self::assemble(base, options)
     }
@@ -150,11 +149,7 @@ impl<'d> KInduction<'d> {
     ///
     /// Panics if the design is malformed or an abstraction mask has the
     /// wrong length.
-    pub fn with_model(
-        reduced: &'d ReducedModel<'_>,
-        options: impl Into<VerifyOptions>,
-    ) -> KInduction<'d> {
-        let options = options.into();
+    pub fn with_model(reduced: &'d ReducedModel<'_>, options: VerifyOptions) -> KInduction<'d> {
         let base = BmcEngine::with_model(reduced, Self::base_options(&options));
         Self::assemble(base, options)
     }

@@ -23,10 +23,8 @@
 //! * [`pba`] — stability-based abstraction discovery and iterative
 //!   abstraction (ref. \[10\]), with a parallel per-property dispatch
 //!   ([`pba::discover_all`]) on the work-stealing pool;
-//! * [`options`] — the builder-style configuration surface:
-//!   [`VerifyOptions`] and the shared [`PipelineOptions`] (the old
-//!   [`BmcOptions`] struct converts losslessly — see its Migration
-//!   rustdoc);
+//! * [`options`] — the configuration surface: the builder-style
+//!   [`VerifyOptions`] and the shared [`PipelineOptions`] field block;
 //! * [`model`] — [`ReducedModel`], the pre-reduced design handle that
 //!   lets many engines share one rewrite + fraig pass;
 //! * [`server`] — [`VerificationServer`], a queueing front-end that runs
@@ -36,8 +34,7 @@
 //! All encoders emit through [`emm_sat::CnfSink`], and the engine threads
 //! a simplifying sink ([`emm_sat::simplify`]) between them and the solver
 //! by default: cross-frame structural hashing, constant folding, and lazy
-//! gate emission. See
-//! [`BmcOptions::simplify`](crate::BmcOptions).
+//! gate emission. See [`PipelineOptions::simplify`].
 //!
 //! Before any unrolling, the engine also reduces a private copy of the
 //! design: cut-based rewriting ([`emm_aig::rewrite`]) restructures
@@ -45,8 +42,7 @@
 //! ([`emm_aig::fraig`]) merges functionally equivalent cones — both
 //! savings multiply across every frame of every context. Counterexample
 //! traces are still validated against the original design. See
-//! [`BmcOptions::rewrite`](crate::BmcOptions),
-//! [`BmcOptions::fraig`](crate::BmcOptions), and
+//! [`PipelineOptions::rewrite`], [`PipelineOptions::fraig`], and
 //! [`BmcEngine::fraig_stats`]. The full pipeline, encoder by encoder, is
 //! documented in `docs/ARCHITECTURE.md` at the repository root.
 //!
@@ -54,7 +50,7 @@
 //!
 //! ```
 //! use emm_aig::{Design, LatchInit};
-//! use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+//! use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 //!
 //! let mut d = Design::new();
 //! let count = d.new_latch_word("count", 3, LatchInit::Zero);
@@ -67,7 +63,7 @@
 //! d.add_property("lt7", bad);
 //! d.check().expect("well-formed");
 //!
-//! let mut engine = BmcEngine::new(&d, BmcOptions { proofs: true, ..BmcOptions::default() });
+//! let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
 //! let run = engine.check(0, 32).expect("no spurious traces");
 //! assert!(run.verdict.is_proof());
 //! ```
@@ -87,7 +83,7 @@ mod unroll;
 
 pub use dimacs::{dump_bmc_cnf, BmcCnf, DumpDimacsError};
 pub use engine::{
-    AbstractionSpec, BmcEngine, BmcError, BmcOptions, BmcRun, BmcVerdict, PhaseSeconds, ProofKind,
+    AbstractionSpec, BmcEngine, BmcError, BmcRun, BmcVerdict, PhaseSeconds, ProofKind,
 };
 pub use frontend::{FrontendError, ModelFormat, ModelSource};
 pub use kinduction::KInduction;

@@ -8,9 +8,8 @@
 //! preprocessing, incremental solving, per-call budgets and the pipeline
 //! governor. [`VerifyOptions`] embeds one and adds the engine-level
 //! switches (proofs, trace validation, abstraction, PBA discovery, the
-//! worker count). The historical flat [`BmcOptions`] struct remains as a
-//! thin shim: `From<BmcOptions> for VerifyOptions` lets every existing
-//! call site keep compiling, and [`BmcEngine::new`] accepts either.
+//! worker count). [`VerifyOptions`]'s chainable methods are the one
+//! builder surface; [`PipelineOptions`] is a plain field block.
 //!
 //! ```
 //! use emm_bmc::VerifyOptions;
@@ -25,8 +24,6 @@
 //! ```
 //!
 //! [`BmcEngine`]: crate::BmcEngine
-//! [`BmcEngine::new`]: crate::BmcEngine::new
-//! [`BmcOptions`]: crate::BmcOptions
 
 use std::time::Duration;
 
@@ -34,7 +31,7 @@ use emm_aig::{FraigConfig, RewriteConfig};
 use emm_core::EmmOptions;
 use emm_sat::{Budget, ResourceGovernor, SimplifyConfig, SolverConfig};
 
-use crate::engine::{AbstractionSpec, BmcOptions};
+use crate::engine::AbstractionSpec;
 
 /// Which proving engine a driver dispatches to when proofs are requested.
 ///
@@ -56,33 +53,116 @@ pub enum ProofEngine {
 }
 
 /// Knobs shared by every stage of the verification pipeline, embedded in
-/// [`VerifyOptions`] and [`crate::pba::PbaConfig`]. Field semantics are
-/// documented on [`BmcOptions`], whose flat layout this struct replaces.
+/// [`VerifyOptions`] and [`crate::pba::PbaConfig`]. A plain field block:
+/// set fields directly, or through [`VerifyOptions`]'s builder methods.
 #[derive(Clone, Debug)]
 pub struct PipelineOptions {
     /// EMM encoder options (selector granularity, encoding, eq. (6)).
     pub emm: EmmOptions,
-    /// Circuit simplification on the unrolled formula
-    /// ([`BmcOptions::simplify`]).
+    /// Circuit simplification on the unrolled formula (structural hashing,
+    /// lazy emission); see [`emm_sat::simplify`]. Enabled by default; use
+    /// [`SimplifyConfig::disabled`] for the naive encoding.
     pub simplify: SimplifyConfig,
-    /// Cut-based AIG rewriting before unrolling ([`BmcOptions::rewrite`]).
+    /// Cut-based AIG rewriting of the design before any unrolling (see
+    /// [`emm_aig::rewrite`]): k-feasible cut cones are re-synthesized from
+    /// NPN-canonical implementations wherever that strictly reduces the
+    /// AND count, with accepted rewrites chosen by a global
+    /// non-overlapping selection over their fanout-free cones. Runs
+    /// **before** the fraig pass — rewriting restructures inequivalent
+    /// logic, and its rebuild hands fraig a freshly strashed graph.
+    /// Enabled by default (4-input cuts, global selection); the knobs
+    /// thread straight through: `RewriteConfig { cut_size, global_select,
+    /// .. }`, with [`RewriteConfig::wide`] for 6-input `u64`-table cuts
+    /// (the bench harness's `rewrite6_fraig` mode) and
+    /// [`RewriteConfig::disabled`] for the unrewritten netlist. Like
+    /// fraiging, the pass is deterministic, runs inside
+    /// [`crate::BmcEngine::new`], and multi-engine drivers should
+    /// pre-reduce once instead (see [`crate::pba`]).
     pub rewrite: RewriteConfig,
-    /// AIG-level fraiging before unrolling ([`BmcOptions::fraig`]).
+    /// AIG-level fraiging of the design before any unrolling (see
+    /// [`emm_aig::fraig`]): functionally equivalent cones are merged once,
+    /// at the netlist level, so the saving multiplies across every frame
+    /// of every context. Enabled by default; use
+    /// [`FraigConfig::disabled`] for the unreduced netlist. The engine
+    /// works on the reduced model internally but still validates
+    /// counterexample traces against the original design.
+    ///
+    /// The pass runs inside [`crate::BmcEngine::new`], *before* any
+    /// [`PipelineOptions::wall_limit`] deadline exists; its cost is bounded
+    /// by the deterministic [`FraigConfig`] caps (`max_checks`,
+    /// `sat_conflicts`) instead. Callers constructing many engines over
+    /// the same design (abstraction loops) should fraig once and disable
+    /// it per engine, as [`crate::pba`] does.
     pub fraig: FraigConfig,
-    /// Bound-to-bound incremental solving ([`BmcOptions::incremental`]).
+    /// Solve **incrementally across bounds** (the default): every context
+    /// keeps one long-lived solver for the whole bound loop, each bound
+    /// only emits the new frame's clauses, the per-bound property clause
+    /// is added under an activation group and physically retired
+    /// ([`emm_sat::Solver::retire_group`]) once its bound is refuted, and
+    /// counterexample checks already proven UNSAT are skipped on repeated
+    /// [`crate::BmcEngine::check`] calls (what makes [`crate::pba`]'s
+    /// depth-by-depth discovery loop linear instead of quadratic in
+    /// solver calls).
+    ///
+    /// When `false` the engine rebuilds every context — solver, unroller,
+    /// EMM, LFP, simplifier — from scratch at each bound, re-encoding
+    /// frames `0..=k` and solving cold: the paper-era baseline, kept for
+    /// differential testing and for the bench harness's `incremental`
+    /// mode (which measures one against the other).
+    ///
+    /// # Examples
+    ///
+    /// Both modes must agree on verdicts; the incremental engine just
+    /// gets there without re-encoding:
+    ///
+    /// ```
+    /// use emm_aig::{Design, LatchInit};
+    /// use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
+    ///
+    /// let mut d = Design::new();
+    /// let count = d.new_latch_word("count", 3, LatchInit::Zero);
+    /// let next = d.aig.inc(&count);
+    /// d.set_next_word(&count, &next);
+    /// let bad = d.aig.eq_const(&count, 5);
+    /// d.add_property("reaches5", bad);
+    /// d.check().expect("well-formed");
+    ///
+    /// let mut incremental = BmcEngine::new(&d, VerifyOptions::default());
+    /// let mut restart = BmcEngine::new(&d, VerifyOptions::default().incremental(false));
+    /// let a = incremental.check(0, 8).unwrap();
+    /// let b = restart.check(0, 8).unwrap();
+    /// assert!(matches!(a.verdict, BmcVerdict::Counterexample(ref t) if t.depth() == 6));
+    /// assert!(matches!(b.verdict, BmcVerdict::Counterexample(ref t) if t.depth() == 6));
+    /// // Each bound's wall time is recorded either way (bounds 0..=5).
+    /// assert_eq!(a.per_bound_seconds.len(), 6);
+    /// assert_eq!(b.per_bound_seconds.len(), 6);
+    /// ```
     pub incremental: bool,
     /// Per-SAT-call resource budget.
     pub solve_budget: Budget,
-    /// Overall wall-clock limit per `check` call.
+    /// Overall wall-clock limit for a `check` call.
     pub wall_limit: Option<Duration>,
-    /// Pipeline-wide resource governor ([`BmcOptions::governor`]).
+    /// Pipeline-wide resource governor: a deadline, lifetime conflict /
+    /// propagation caps, a solver memory ceiling, and a shared
+    /// cooperative cancellation token, threaded through every stage —
+    /// the rewrite and fraig preprocessing in [`crate::BmcEngine::new`],
+    /// the EMM constraint encoder, the frame unrolling loop, and both
+    /// incremental solvers. A trip anywhere degrades gracefully:
+    /// preprocessing returns its best-so-far reduction (with
+    /// `interrupted` stats), and `check` returns
+    /// [`crate::BmcVerdict::Unknown`] naming the reason and the deepest
+    /// cleanly refuted bound. Keep a clone and call
+    /// [`ResourceGovernor::cancel`] to stop a run from another thread;
+    /// resume by raising the limits via
+    /// [`crate::BmcEngine::set_governor`] and calling
+    /// [`crate::BmcEngine::check`] again.
     pub governor: ResourceGovernor,
     /// Which proving engine drivers dispatch to when proofs are
     /// requested (see [`ProofEngine`]).
     pub proof_engine: ProofEngine,
     /// CDCL solver heuristics (restart policy, decay rates, clause-DB
     /// reduction, the inprocessing loop) used by every solver the
-    /// pipeline creates — [`BmcEngine`](crate::BmcEngine)'s anchored and
+    /// pipeline creates — [`crate::BmcEngine`]'s anchored and
     /// floating contexts, [`crate::KInduction`]'s step context, and the
     /// PBA/server drivers on top of them.
     pub solver: SolverConfig,
@@ -102,68 +182,6 @@ impl Default for PipelineOptions {
             proof_engine: ProofEngine::default(),
             solver: SolverConfig::default(),
         }
-    }
-}
-
-impl PipelineOptions {
-    /// Sets the EMM encoder options.
-    pub fn emm(mut self, emm: EmmOptions) -> Self {
-        self.emm = emm;
-        self
-    }
-
-    /// Sets the simplifying-sink configuration.
-    pub fn simplify(mut self, simplify: SimplifyConfig) -> Self {
-        self.simplify = simplify;
-        self
-    }
-
-    /// Sets the rewrite preprocessing configuration.
-    pub fn rewrite(mut self, rewrite: RewriteConfig) -> Self {
-        self.rewrite = rewrite;
-        self
-    }
-
-    /// Sets the fraig preprocessing configuration.
-    pub fn fraig(mut self, fraig: FraigConfig) -> Self {
-        self.fraig = fraig;
-        self
-    }
-
-    /// Enables or disables bound-to-bound incremental solving.
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
-    /// Sets the per-SAT-call budget.
-    pub fn solve_budget(mut self, budget: Budget) -> Self {
-        self.solve_budget = budget;
-        self
-    }
-
-    /// Sets the wall-clock limit per `check` call.
-    pub fn wall_limit(mut self, limit: Option<Duration>) -> Self {
-        self.wall_limit = limit;
-        self
-    }
-
-    /// Installs the pipeline governor.
-    pub fn governor(mut self, governor: ResourceGovernor) -> Self {
-        self.governor = governor;
-        self
-    }
-
-    /// Selects the proving engine drivers dispatch to.
-    pub fn proof_engine(mut self, engine: ProofEngine) -> Self {
-        self.proof_engine = engine;
-        self
-    }
-
-    /// Sets the CDCL solver configuration used by every pipeline solver.
-    pub fn solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
-        self
     }
 }
 
@@ -193,13 +211,18 @@ impl PipelineOptions {
 pub struct VerifyOptions {
     /// The shared pipeline knobs (preprocessing, budgets, governor).
     pub pipeline: PipelineOptions,
-    /// Run the induction-style termination checks (BMC-1/BMC-3).
+    /// Run the induction-style termination checks (BMC-1/BMC-3). When
+    /// `false` the engine is the falsification-only BMC-2 of Fig. 2.
     pub proofs: bool,
-    /// Validate counterexample traces by re-simulation before returning.
+    /// Validate counterexample traces by re-simulation before returning
+    /// them (on by default; a failure indicates an engine bug).
     pub validate_traces: bool,
-    /// Freeze an abstraction (the paper's *reduced model*).
+    /// Freeze an abstraction: latches/memories outside the kept sets are
+    /// removed from the model (the paper's *reduced model*).
     pub abstraction: Option<AbstractionSpec>,
-    /// Enable proof-based-abstraction reason discovery.
+    /// Enable proof-based-abstraction reason discovery: per-latch and
+    /// per-memory selectors are created and every UNSAT counterexample
+    /// check reports which of them the refutation used.
     pub pba_discovery: bool,
     /// Worker threads for the parallel paths (the fraig sweep in
     /// preprocessing, and whatever driver consumes these options). `0`
@@ -318,38 +341,5 @@ impl VerifyOptions {
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
-    }
-}
-
-impl From<PipelineOptions> for VerifyOptions {
-    fn from(pipeline: PipelineOptions) -> VerifyOptions {
-        VerifyOptions {
-            pipeline,
-            ..VerifyOptions::default()
-        }
-    }
-}
-
-impl From<BmcOptions> for VerifyOptions {
-    fn from(o: BmcOptions) -> VerifyOptions {
-        VerifyOptions {
-            pipeline: PipelineOptions {
-                emm: o.emm,
-                simplify: o.simplify,
-                rewrite: o.rewrite,
-                fraig: o.fraig,
-                incremental: o.incremental,
-                solve_budget: o.solve_budget,
-                wall_limit: o.wall_limit,
-                governor: o.governor,
-                proof_engine: ProofEngine::Bounded,
-                solver: SolverConfig::default(),
-            },
-            proofs: o.proofs,
-            validate_traces: o.validate_traces,
-            abstraction: o.abstraction,
-            pba_discovery: o.pba_discovery,
-            workers: 0,
-        }
     }
 }

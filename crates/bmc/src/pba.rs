@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use emm_aig::{Design, FraigConfig, RewriteConfig};
-use emm_core::{EmmOptions, Job, JobResult, Pool};
+use emm_core::{Job, JobResult, Pool};
 use emm_sat::{Budget, ResourceGovernor};
 
 use crate::engine::{AbstractionSpec, BmcEngine, BmcVerdict};
@@ -24,17 +24,15 @@ use crate::options::{PipelineOptions, VerifyOptions};
 
 /// PBA discovery configuration: the two discovery knobs plus the shared
 /// [`PipelineOptions`] block every engine the drivers construct inherits
-/// (preprocessing, budgets, the governor). Build it flat (the two
-/// discovery fields are still plain) or through the builder methods:
+/// (preprocessing, budgets, the governor). Set pipeline knobs on the
+/// `pipeline` field:
 ///
 /// ```
 /// use emm_bmc::pba::PbaConfig;
 /// use emm_aig::RewriteConfig;
 ///
-/// let config = PbaConfig::default()
-///     .stability_depth(5)
-///     .max_depth(50)
-///     .rewrite(RewriteConfig::wide());
+/// let mut config = PbaConfig::default().stability_depth(5).max_depth(50);
+/// config.pipeline.rewrite = RewriteConfig::wide();
 /// assert_eq!(config.stability_depth, 5);
 /// ```
 #[derive(Clone, Debug)]
@@ -79,70 +77,6 @@ impl PbaConfig {
     pub fn pipeline(mut self, pipeline: PipelineOptions) -> Self {
         self.pipeline = pipeline;
         self
-    }
-
-    /// Sets the EMM encoder options.
-    pub fn emm(mut self, emm: EmmOptions) -> Self {
-        self.pipeline.emm = emm;
-        self
-    }
-
-    /// Sets the per-SAT-call budget.
-    pub fn solve_budget(mut self, budget: Budget) -> Self {
-        self.pipeline.solve_budget = budget;
-        self
-    }
-
-    /// Sets the wall-clock limit per discovery run.
-    pub fn wall_limit(mut self, limit: Option<Duration>) -> Self {
-        self.pipeline.wall_limit = limit;
-        self
-    }
-
-    /// Sets the fraig preprocessing configuration.
-    pub fn fraig(mut self, fraig: FraigConfig) -> Self {
-        self.pipeline.fraig = fraig;
-        self
-    }
-
-    /// Sets the rewrite preprocessing configuration.
-    pub fn rewrite(mut self, rewrite: RewriteConfig) -> Self {
-        self.pipeline.rewrite = rewrite;
-        self
-    }
-
-    /// Enables or disables bound-to-bound incremental solving.
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.pipeline.incremental = incremental;
-        self
-    }
-
-    /// Installs the pipeline governor.
-    pub fn governor(mut self, governor: ResourceGovernor) -> Self {
-        self.pipeline.governor = governor;
-        self
-    }
-
-    /// Selects the proving engine [`discover_and_prove`] dispatches to
-    /// for its proof attempts.
-    pub fn proof_engine(mut self, engine: crate::options::ProofEngine) -> Self {
-        self.pipeline.proof_engine = engine;
-        self
-    }
-
-    /// Sets the CDCL solver configuration used by every pipeline solver.
-    pub fn solver(mut self, solver: emm_sat::SolverConfig) -> Self {
-        self.pipeline.solver = solver;
-        self
-    }
-}
-
-impl From<PipelineOptions> for PbaConfig {
-    fn from(pipeline: PipelineOptions) -> PbaConfig {
-        PbaConfig {
-            pipeline,
-            ..PbaConfig::default()
-        }
     }
 }
 
@@ -345,15 +279,17 @@ pub fn discover_and_prove(
         let disc = discover(design, prop, &config)?;
         if disc.found_counterexample {
             // Re-run concretely to hand back a real, validated trace —
-            // deliberately without the discovery budgets/wall limit, so
-            // the witness search is not cut short.
+            // deliberately without the discovery budgets/wall limit (and
+            // under an unlimited governor), so the witness search is not
+            // cut short.
             let mut engine = BmcEngine::new(
                 design,
-                VerifyOptions::default()
-                    .emm(config.pipeline.emm)
-                    .fraig(config.pipeline.fraig)
-                    .rewrite(config.pipeline.rewrite)
-                    .incremental(config.pipeline.incremental),
+                VerifyOptions::default().pipeline(PipelineOptions {
+                    solve_budget: Budget::unlimited(),
+                    wall_limit: None,
+                    governor: ResourceGovernor::unlimited(),
+                    ..config.pipeline.clone()
+                }),
             );
             let run = engine.check(prop, disc.depth_reached)?;
             return Ok(AbstractProof {
@@ -418,7 +354,9 @@ fn cancelled_discovery(design: &Design) -> PbaDiscovery {
 /// jobs interleave across workers) while still observing a cancellation
 /// of the parent governor.
 fn fork_config(config: &PbaConfig) -> PbaConfig {
-    config.clone().governor(config.pipeline.governor.fork())
+    let mut forked = config.clone();
+    forked.pipeline.governor = config.pipeline.governor.fork();
+    forked
 }
 
 /// Runs [`discover`] for every property in `props` as one independent job

@@ -2,7 +2,7 @@
 //! explicit-model agreement, arbitrary initial memory state, and PBA.
 
 use emm_aig::{Design, LatchInit, MemInit, Word};
-use emm_bmc::{pba, BmcEngine, BmcOptions, BmcVerdict, ProofKind};
+use emm_bmc::{pba, BmcEngine, BmcVerdict, ProofKind, VerifyOptions};
 use emm_core::{explicit_model, EmmOptions};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -25,7 +25,7 @@ fn mod_counter(width: usize, modulo: u64, bad_at: u64) -> Design {
 #[test]
 fn counterexample_found_at_exact_depth() {
     let d = mod_counter(4, 12, 7);
-    let mut engine = BmcEngine::new(&d, BmcOptions::default());
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default());
     let run = engine.check(0, 20).expect("run");
     match run.verdict {
         BmcVerdict::Counterexample(trace) => {
@@ -44,13 +44,7 @@ fn counterexample_found_at_exact_depth() {
 fn unreachable_state_proved_by_forward_diameter() {
     // Counter wraps at 5; 9 is unreachable. Diameter is 5.
     let d = mod_counter(4, 5, 9);
-    let mut engine = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let run = engine.check(0, 30).expect("run");
     match run.verdict {
         BmcVerdict::Proof { kind: _, depth } => {
@@ -74,13 +68,7 @@ fn inductive_invariant_proved_backward() {
     let bad = d.aig.xor(a, b);
     d.add_property("lockstep", bad);
     d.check().expect("valid");
-    let mut engine = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let run = engine.check(0, 10).expect("run");
     match run.verdict {
         BmcVerdict::Proof { kind, depth } => {
@@ -95,7 +83,7 @@ fn inductive_invariant_proved_backward() {
 fn bound_reached_when_nothing_concludes() {
     // An 8-bit free-running counter: diameter 256, bad at 200.
     let d = mod_counter(8, 256, 200);
-    let mut engine = BmcEngine::new(&d, BmcOptions::default());
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default());
     let run = engine.check(0, 10).expect("run");
     assert!(matches!(run.verdict, BmcVerdict::BoundReached));
     assert_eq!(run.depth_reached, 10);
@@ -129,7 +117,7 @@ fn write_then_read_design(init: MemInit) -> Design {
 #[test]
 fn emm_finds_memory_witness_and_validates() {
     let d = write_then_read_design(MemInit::Zero);
-    let mut engine = BmcEngine::new(&d, BmcOptions::default());
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default());
     let run = engine.check(0, 10).expect("run");
     match run.verdict {
         BmcVerdict::Counterexample(trace) => {
@@ -151,7 +139,7 @@ fn arbitrary_init_witness_carries_memory_seeds() {
     let bad = d.aig.eq_const(&rd, 0xC);
     d.add_property("p", bad);
     d.check().expect("valid");
-    let mut engine = BmcEngine::new(&d, BmcOptions::default());
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default());
     let run = engine.check(0, 4).expect("run");
     match run.verdict {
         BmcVerdict::Counterexample(trace) => {
@@ -180,13 +168,7 @@ fn init_consistency_is_required_for_proofs() {
     d.check().expect("valid");
 
     // With eq. (6): proof.
-    let mut engine = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let run = engine.check(0, 6).expect("run");
     assert!(
         run.verdict.is_proof(),
@@ -197,15 +179,13 @@ fn init_consistency_is_required_for_proofs() {
     // Without eq. (6): the spurious behavior is reachable.
     let mut engine = BmcEngine::new(
         &d,
-        BmcOptions {
-            proofs: false,
-            validate_traces: false, // the trace is spurious by construction
-            emm: EmmOptions {
+        VerifyOptions::default()
+            .proofs(false)
+            .validate_traces(false) // the trace is spurious by construction
+            .emm(EmmOptions {
                 skip_init_consistency: true,
                 ..EmmOptions::default()
-            },
-            ..BmcOptions::default()
-        },
+            }),
     );
     let run = engine.check(0, 6).expect("run");
     assert!(
@@ -285,10 +265,10 @@ fn emm_agrees_with_explicit_model_on_random_designs() {
         let d = random_mem_design(&mut rng);
         let (expl, _) = explicit_model(&d);
 
-        let mut emm_engine = BmcEngine::new(&d, BmcOptions::default());
+        let mut emm_engine = BmcEngine::new(&d, VerifyOptions::default());
         let emm_run = emm_engine.check(0, max_depth).expect("emm run");
 
-        let mut expl_engine = BmcEngine::new(&expl, BmcOptions::default());
+        let mut expl_engine = BmcEngine::new(&expl, VerifyOptions::default());
         let expl_run = expl_engine.check(0, max_depth).expect("explicit run");
 
         match (&emm_run.verdict, &expl_run.verdict) {
@@ -381,12 +361,10 @@ fn pba_discovery_drops_irrelevant_state() {
     // The property is still provable on the reduced model.
     let mut engine = BmcEngine::new(
         &d,
-        BmcOptions {
-            proofs: true,
-            abstraction: Some(kept.clone()),
-            validate_traces: false,
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .proofs(true)
+            .abstraction(Some(kept.clone()))
+            .validate_traces(false),
     );
     let run = engine.check(0, 20).expect("run");
     assert!(
@@ -407,14 +385,12 @@ fn abstraction_of_relevant_state_breaks_the_proof() {
     }
     let mut engine = BmcEngine::new(
         &d,
-        BmcOptions {
-            abstraction: Some(emm_bmc::AbstractionSpec {
+        VerifyOptions::default()
+            .abstraction(Some(emm_bmc::AbstractionSpec {
                 kept_latches,
                 kept_memories: vec![true],
-            }),
-            validate_traces: false,
-            ..BmcOptions::default()
-        },
+            }))
+            .validate_traces(false),
     );
     let run = engine.check(0, 5).expect("run");
     assert!(run.verdict.is_counterexample(), "{:?}", run.verdict);
@@ -460,13 +436,7 @@ fn multiport_memory_verified_end_to_end() {
     let bad = d.aig.and(any_bad, re);
     d.add_property("ports_agree", bad);
     d.check().expect("valid");
-    let mut engine = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let run = engine.check(0, 12).expect("run");
     assert!(run.verdict.is_proof(), "{:?}", run.verdict);
 }
@@ -476,11 +446,9 @@ fn wall_limit_yields_unknown_deadline() {
     let d = mod_counter(8, 256, 200);
     let mut engine = BmcEngine::new(
         &d,
-        BmcOptions {
-            proofs: true,
-            wall_limit: Some(std::time::Duration::from_millis(0)),
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .proofs(true)
+            .wall_limit(Some(std::time::Duration::from_millis(0))),
     );
     let run = engine.check(0, 300).expect("run");
     assert!(

@@ -20,7 +20,7 @@
 use std::time::{Duration, Instant};
 
 use emm_aig::{Design, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict, KInduction, VerifyOptions};
+use emm_bmc::{BmcEngine, BmcVerdict, KInduction, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
@@ -69,12 +69,8 @@ fn assert_sound(context: &str, reference: &BmcVerdict, degraded: &BmcVerdict) {
     );
 }
 
-fn opts(governor: ResourceGovernor, proofs: bool) -> BmcOptions {
-    BmcOptions {
-        proofs,
-        governor,
-        ..BmcOptions::default()
-    }
+fn opts(governor: ResourceGovernor, proofs: bool) -> VerifyOptions {
+    VerifyOptions::default().proofs(proofs).governor(governor)
 }
 
 fn is_inprocess_site(site: FaultSite) -> bool {

@@ -1,7 +1,7 @@
 //! Differential testing of bound-to-bound incremental solving: one
 //! long-lived solver per context, per-bound property clauses in
 //! activation groups retired on refutation — against the restart-from-scratch
-//! baseline (`BmcOptions { incremental: false, .. }`), which rebuilds
+//! baseline (`VerifyOptions::default().incremental(false)`), which rebuilds
 //! every context at every bound.
 //!
 //! Verdicts *and* counterexample traces must agree exactly: the
@@ -12,7 +12,7 @@
 //! refuted bound's property clause (counted by the engine).
 
 use emm_aig::{Design, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -51,11 +51,9 @@ fn verdict_shape(v: &BmcVerdict) -> (u8, usize) {
 fn run(design: &Design, prop: usize, bound: usize, incremental: bool, proofs: bool) -> BmcVerdict {
     let mut engine = BmcEngine::new(
         design,
-        BmcOptions {
-            proofs,
-            incremental,
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .proofs(proofs)
+            .incremental(incremental),
     );
     engine
         .check(prop, bound)
@@ -188,12 +186,7 @@ fn repeated_shallow_checks_match_one_deep_check() {
     let mut rng = StdRng::seed_from_u64(0x1BC6);
     for round in 0..6 {
         let d = random_mem_design(&mut rng);
-        let mut stepped = BmcEngine::new(
-            &d,
-            BmcOptions {
-                ..BmcOptions::default()
-            },
-        );
+        let mut stepped = BmcEngine::new(&d, VerifyOptions::default());
         let mut verdict = None;
         for depth in 0..=6 {
             let run = stepped.check(0, depth).expect("stepped");
@@ -233,26 +226,14 @@ fn repeated_checks_with_proofs_stay_sound() {
     d.add_property("reaches10", bad);
     d.check().expect("well-formed");
 
-    let mut fresh = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut fresh = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let reference = fresh.check(0, 20).expect("fresh").verdict;
     let BmcVerdict::Counterexample(ref t) = reference else {
         panic!("expected a counterexample, got {reference:?}");
     };
     let expect_depth = t.depth();
 
-    let mut reused = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut reused = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let shallow = reused.check(0, 3).expect("shallow").verdict;
     assert!(
         matches!(shallow, BmcVerdict::BoundReached),
@@ -288,10 +269,7 @@ fn property_switch_keeps_proofs_complete() {
     d.add_property("reaches7", unreachable);
     d.check().expect("well-formed");
 
-    let opts = || BmcOptions {
-        proofs: true,
-        ..BmcOptions::default()
-    };
+    let opts = || VerifyOptions::default().proofs(true);
     let mut fresh = BmcEngine::new(&d, opts());
     let reference = fresh.check(1, 20).expect("fresh").verdict;
     assert!(reference.is_proof(), "expected a proof, got {reference:?}");
@@ -321,7 +299,7 @@ fn retired_clause_accounting_matches_property_retirements() {
         data_width: 3,
         bug: Bug::None,
     });
-    let mut engine = BmcEngine::new(&qs.design, BmcOptions::default());
+    let mut engine = BmcEngine::new(&qs.design, VerifyOptions::default());
     let bound = 12;
     let run = engine.check(qs.p1.0 as usize, bound).expect("run");
     assert!(
@@ -349,13 +327,7 @@ fn restart_mode_accounting_is_self_contained() {
         data_width: 3,
         bug: Bug::None,
     });
-    let mut engine = BmcEngine::new(
-        &qs.design,
-        BmcOptions {
-            incremental: false,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&qs.design, VerifyOptions::default().incremental(false));
     let run = engine.check(qs.p1.0 as usize, 6).expect("run");
     assert!(matches!(run.verdict, BmcVerdict::BoundReached));
     // The last rebuilt context holds frames 0..=6 and exactly one

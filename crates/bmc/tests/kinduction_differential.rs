@@ -17,7 +17,7 @@
 
 use emm_aig::{Aig, Design, LatchInit, MemInit};
 use emm_bdd::{check_invariant, OracleVerdict, SymbolicOptions};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict, KInduction, VerifyOptions};
+use emm_bmc::{BmcEngine, BmcVerdict, KInduction, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::image_filter::{ImageFilter, ImageFilterConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
@@ -80,13 +80,7 @@ fn cross_check(d: &Design, max_k: usize, label: &str) {
     let oracle = check_invariant(d, 0, SymbolicOptions::default()).expect("oracle runs");
     let mut ki = KInduction::new(d, VerifyOptions::default());
     let ki_verdict = ki.check(0, max_k).expect("kinduction runs").verdict;
-    let mut bounded = BmcEngine::new(
-        d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut bounded = BmcEngine::new(d, VerifyOptions::default().proofs(true));
     let bounded_verdict = bounded.check(0, max_k).expect("bounded runs").verdict;
 
     match &ki_verdict {
@@ -189,15 +183,9 @@ fn memory_as_state_is_not_spuriously_proved() {
     let oracle = check_invariant(&d, 0, SymbolicOptions::default()).expect("oracle");
     assert_eq!(oracle, OracleVerdict::Violated { depth: 6 });
 
-    let run = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    )
-    .check(0, 20)
-    .expect("bounded");
+    let run = BmcEngine::new(&d, VerifyOptions::default().proofs(true))
+        .check(0, 20)
+        .expect("bounded");
     match run.verdict {
         BmcVerdict::Counterexample(t) => assert_eq!(t.frames.len() - 1, 6),
         other => panic!("bounded engine returned {other:?} on the memory counter"),
@@ -290,15 +278,9 @@ fn industry_proof_properties_close_by_induction() {
         (&ind2.design, ind2.invariant, "industry2"),
         (&imf.design, prop, "image_filter"),
     ] {
-        let run = BmcEngine::new(
-            d,
-            BmcOptions {
-                proofs: true,
-                ..BmcOptions::default()
-            },
-        )
-        .check(p, 10)
-        .expect("bounded");
+        let run = BmcEngine::new(d, VerifyOptions::default().proofs(true))
+            .check(p, 10)
+            .expect("bounded");
         assert!(
             !matches!(run.verdict, BmcVerdict::Counterexample(_)),
             "{label}: bounded engine contradicts the induction proof: {:?}",
@@ -325,7 +307,7 @@ fn quicksort_agreement_with_bounded_engine() {
     {
         let (name, prop) = ("p1", qs.p1.0 as usize);
         let bound = qs.cycle_bound();
-        let bounded = BmcEngine::new(&qs.design, BmcOptions::default())
+        let bounded = BmcEngine::new(&qs.design, VerifyOptions::default())
             .check(prop, bound)
             .expect("bounded")
             .verdict;

@@ -152,10 +152,8 @@ fn parallel_pba_fault_injection_is_deterministic() {
     for workers in [1usize, 2, 4] {
         // Each job forks the governor, so the fault counts each job's
         // own frames — the trip point cannot depend on scheduling.
-        let config = PbaConfig::default()
-            .stability_depth(3)
-            .max_depth(12)
-            .governor(ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 4));
+        let mut config = PbaConfig::default().stability_depth(3).max_depth(12);
+        config.pipeline.governor = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 4);
         let pool = Pool::new(workers);
         let results = pba::discover_all(&design, &props, &config, &pool).expect("discovery");
         outcomes.push(results.iter().map(discovery_key).collect::<Vec<_>>());

@@ -13,7 +13,7 @@
 //! `SpuriousTrace` error, not just a flaky disagreement.
 
 use emm_aig::{rewrite_design, Design, LatchInit, MemInit, RewriteConfig};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -143,11 +143,7 @@ fn verdict_shape(v: &BmcVerdict) -> (u8, usize) {
 fn check_with(design: &Design, rewrite: RewriteConfig, proofs: bool, bound: usize) -> (u8, usize) {
     let mut engine = BmcEngine::new(
         design,
-        BmcOptions {
-            proofs,
-            rewrite,
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default().proofs(proofs).rewrite(rewrite),
     );
     let run = engine.check(0, bound).expect("no spurious traces");
     verdict_shape(&run.verdict)

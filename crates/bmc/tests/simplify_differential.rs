@@ -8,7 +8,7 @@
 //! inputs, an independent reference, and exact agreement required.
 
 use emm_aig::{Design, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict, UnrollConfig, Unroller};
+use emm_bmc::{BmcEngine, BmcVerdict, UnrollConfig, Unroller, VerifyOptions};
 use emm_sat::{Simplifier, SimplifyConfig, SolveResult, Solver};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -112,18 +112,12 @@ fn simplified_engine_agrees_with_naive_on_random_mem_designs() {
         let d = random_mem_design(&mut rng);
         let mut simplified = BmcEngine::new(
             &d,
-            BmcOptions {
-                simplify: SimplifyConfig::default(),
-                ..BmcOptions::default()
-            },
+            VerifyOptions::default().simplify(SimplifyConfig::default()),
         );
         let simp_run = simplified.check(0, 5).expect("simplified run");
         let mut naive = BmcEngine::new(
             &d,
-            BmcOptions {
-                simplify: SimplifyConfig::disabled(),
-                ..BmcOptions::default()
-            },
+            VerifyOptions::default().simplify(SimplifyConfig::disabled()),
         );
         let naive_run = naive.check(0, 5).expect("naive run");
         assert_eq!(
@@ -148,21 +142,13 @@ fn simplified_proof_engine_agrees_on_random_designs() {
         } else {
             random_mem_design(&mut rng)
         };
-        let mut simplified = BmcEngine::new(
-            &d,
-            BmcOptions {
-                proofs: true,
-                ..BmcOptions::default()
-            },
-        );
+        let mut simplified = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
         let simp_run = simplified.check(0, 6).expect("simplified run");
         let mut naive = BmcEngine::new(
             &d,
-            BmcOptions {
-                proofs: true,
-                simplify: SimplifyConfig::disabled(),
-                ..BmcOptions::default()
-            },
+            VerifyOptions::default()
+                .proofs(true)
+                .simplify(SimplifyConfig::disabled()),
         );
         let naive_run = naive.check(0, 6).expect("naive run");
         assert_eq!(

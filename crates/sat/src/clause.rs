@@ -6,7 +6,7 @@
 //! ```text
 //! word 0: literal count
 //! word 1: flags (bit 0: learnt, bit 1: deleted, bit 2: gc mark)
-//! word 2: clause id (for unsat-core / proof tracking; 0 when untracked)
+//! word 2: clause id (0 for learnt clauses)
 //! word 3: activity (f32 bits, learnt clauses) | LBD in high bits of word 1
 //! ```
 //!
@@ -17,7 +17,8 @@
 
 use crate::lit::Lit;
 
-/// Stable identifier of a tracked clause, used in unsat cores.
+/// Stable identifier of an original clause, the handle
+/// [`Solver::retire_clause`](crate::Solver::retire_clause) takes.
 ///
 /// Ids are assigned by the solver in insertion order and survive garbage
 /// collection (unlike the internal `ClauseRef`, which is a raw arena offset).
@@ -25,10 +26,10 @@ use crate::lit::Lit;
 pub struct ClauseId(pub u32);
 
 impl ClauseId {
-    /// Id used for clauses that are not tracked for core extraction.
+    /// Id of clauses that can never be retired by id (learnt clauses).
     pub const UNTRACKED: ClauseId = ClauseId(0);
 
-    /// Returns `true` if this clause participates in core tracking.
+    /// Returns `true` for ids the solver assigned to an original clause.
     #[inline]
     pub fn is_tracked(self) -> bool {
         self.0 != 0
@@ -101,15 +102,12 @@ impl ClauseDb {
         let off = cref.offset();
         let len = self.arena[off] as usize;
         let body = &self.arena[off + HEADER_WORDS..off + HEADER_WORDS + len];
-        // SAFETY-free cast: Lit is a transparent-by-construction wrapper over
-        // u32 codes; we reconstruct through the safe constructor instead.
-        // To avoid per-access allocation we transmute via bytemuck-like
-        // manual cast; since Lit is repr(Rust) we instead rely on identical
-        // layout being unspecified -- so we use the safe slice-of-u32 view
-        // and convert lazily. For performance we keep an unsafe cast here
-        // guarded by a compile-time size assertion.
-        const _: () = assert!(std::mem::size_of::<Lit>() == std::mem::size_of::<u32>());
-        unsafe { std::slice::from_raw_parts(body.as_ptr() as *const Lit, len) }
+        // SAFETY: `Lit` is `#[repr(transparent)]` over `u32`, so it has the
+        // size, alignment and validity of `u32` and every `u32` is a valid
+        // `Lit`. `body` is a bounds-checked subslice of the arena holding
+        // exactly `len` words, so the new slice covers memory `body` owns
+        // and borrows it for the same lifetime.
+        unsafe { std::slice::from_raw_parts(body.as_ptr().cast::<Lit>(), len) }
     }
 
     /// Returns the literals of a clause, mutably.
@@ -118,7 +116,9 @@ impl ClauseDb {
         let off = cref.offset();
         let len = self.arena[off] as usize;
         let body = &mut self.arena[off + HEADER_WORDS..off + HEADER_WORDS + len];
-        unsafe { std::slice::from_raw_parts_mut(body.as_mut_ptr() as *mut Lit, len) }
+        // SAFETY: as in `lits`; the exclusive borrow of `body` makes the
+        // mutable slice unique, and any `Lit` written back is a valid `u32`.
+        unsafe { std::slice::from_raw_parts_mut(body.as_mut_ptr().cast::<Lit>(), len) }
     }
 
     /// Number of literals in the clause.
@@ -146,8 +146,9 @@ impl ClauseDb {
         self.arena[cref.offset() + 1] & FLAG_DELETED != 0
     }
 
-    /// Returns the tracking id of the clause.
-    #[inline]
+    /// Returns the id stored in the clause header. Only the tests read it
+    /// back: the solver maps ids to arena refs through its own table.
+    #[cfg(test)]
     pub fn id(&self, cref: ClauseRef) -> ClauseId {
         ClauseId(self.arena[cref.offset() + 2])
     }

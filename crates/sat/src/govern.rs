@@ -3,8 +3,9 @@
 //!
 //! [`Budget`](crate::Budget) limits a *single solve call*; the
 //! [`ResourceGovernor`] governs the *whole verification pipeline*. One
-//! governor is threaded from `BmcOptions` through the reduction passes
-//! (rewrite, fraig), the EMM constraint encoder, and both incremental solvers, so a job-level
+//! governor is threaded from `emm-bmc`'s `PipelineOptions::governor`
+//! through the reduction passes (rewrite, fraig), the EMM constraint
+//! encoder, and both incremental solvers, so a job-level
 //! deadline or a dispatcher's cancellation request reaches every loop
 //! that can run long. The contract at every poll point is *graceful
 //! degradation*: a tripped governor makes the pass stop early and

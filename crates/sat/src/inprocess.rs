@@ -204,11 +204,6 @@ impl Solver {
     /// See the module docs in `inprocess.rs` for the schedule and the
     /// soundness contract.
     ///
-    /// The call is a no-op under [`SolverConfig::proof_tracing`](crate::SolverConfig::proof_tracing):
-    /// strengthened clauses would need tracer derivations the rewrite
-    /// does not record, so refutation cores stay exact by simply not
-    /// rewriting traced databases.
-    ///
     /// # Examples
     ///
     /// ```
@@ -234,7 +229,7 @@ impl Solver {
     /// Panics if called while the solver is not at decision level zero.
     pub fn inprocess(&mut self) -> Option<ExhaustionReason> {
         assert_eq!(self.decision_level(), 0, "inprocess at level 0 only");
-        if !self.config.inprocess.enabled || !self.ok || self.tracer.is_some() {
+        if !self.config.inprocess.enabled || !self.ok {
             return None;
         }
         // An already-tripped governor (or an already-passed deadline)

@@ -3,8 +3,9 @@
 //! A conflict-driven clause-learning (CDCL) SAT solver built as the backend
 //! for SAT-based Bounded Model Checking with Efficient Memory Modeling
 //! (Ganai, Gupta, Ashar — DATE 2005). It stands in for the paper's hybrid
-//! circuit/CNF solver (their ref. \[21\]) and resolution-based refutation
-//! extractor (their ref. \[20\]).
+//! circuit/CNF solver (their ref. \[21\]); the role of their
+//! resolution-based refutation extractor (ref. \[20\]) is taken by
+//! selector-based cores read from failed assumptions.
 //!
 //! ## Features
 //!
@@ -20,9 +21,6 @@
 //!   clauses to a guard literal so whole groups — e.g. a BMC bound's
 //!   property clause — can be enforced per solve and later removed for
 //!   good.
-//! * **Refutation tracing** ([`SolverConfig::proof_tracing`]): on UNSAT,
-//!   [`Solver::core_clause_ids`] returns the original clauses used in the
-//!   refutation (`SAT_Get_Refutation` in the paper's Fig. 1/Fig. 3).
 //! * Deterministic **budgets** ([`Budget`]) for the paper's timeout-based
 //!   experimental methodology, and a pipeline-wide **resource governor**
 //!   ([`ResourceGovernor`], module [`govern`]): shared deadline,

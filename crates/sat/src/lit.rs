@@ -63,6 +63,7 @@ impl fmt::Display for Var {
 /// assert_eq!((!p).var(), v);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(transparent)]
 pub struct Lit(u32);
 
 impl Lit {

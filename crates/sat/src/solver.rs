@@ -8,7 +8,7 @@
 //! analysis with recursive clause minimization, VSIDS branching with phase
 //! saving, Luby restarts, and activity/LBD-driven learned-clause reduction.
 //!
-//! Three features are specifically in service of the EMM/BMC stack built
+//! Two features are specifically in service of the EMM/BMC stack built
 //! on top (see the `emm-bmc` crate):
 //!
 //! * **Incremental solving under assumptions**
@@ -22,10 +22,6 @@
 //!   reclaimed by the mark-and-compact GC), which is how the incremental
 //!   BMC bound loop and the k-induction step shed their per-bound and
 //!   per-depth property clauses.
-//! * **Refutation tracing** ([`SolverConfig::proof_tracing`]) — every learned
-//!   clause records its antecedents so that, on UNSAT,
-//!   [`Solver::core_clause_ids`] returns the set of original clauses used in
-//!   the refutation (the paper's `SAT_Get_Refutation`, ref. [20]).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -101,9 +97,6 @@ pub struct SolverConfig {
     pub first_reduce: u64,
     /// Additional learned clauses allowed after each reduction.
     pub reduce_increment: u64,
-    /// Record antecedents of learned clauses so an unsat core of original
-    /// clauses can be extracted after an UNSAT answer.
-    pub proof_tracing: bool,
     /// Restart strategy (Luby schedule or Glucose-style EMA).
     pub restart_policy: RestartPolicy,
     /// Chronological backtracking: `Some(t)` keeps the trail and backs
@@ -126,7 +119,6 @@ impl Default for SolverConfig {
             restart_base: 100,
             first_reduce: 4000,
             reduce_increment: 1500,
-            proof_tracing: false,
             restart_policy: RestartPolicy::Luby,
             chrono_backtrack: None,
             inprocess: InprocessConfig::default(),
@@ -162,12 +154,6 @@ impl SolverConfig {
     /// Sets the learned-clause allowance added after each reduction.
     pub fn reduce_increment(mut self, n: u64) -> SolverConfig {
         self.reduce_increment = n;
-        self
-    }
-
-    /// Enables or disables refutation tracing.
-    pub fn proof_tracing(mut self, on: bool) -> SolverConfig {
-        self.proof_tracing = on;
         self
     }
 
@@ -325,37 +311,6 @@ struct Watcher {
     blocker: Lit,
 }
 
-/// Proof-tracing state: a DAG from derived clause ids to antecedent ids.
-#[derive(Debug, Default)]
-pub(crate) struct Tracer {
-    /// `antecedents[id]` for derived (learned / level-0 unit) ids.
-    antecedents: HashMap<u32, Box<[u32]>>,
-    /// Ids corresponding to user-added clauses.
-    original: Vec<bool>,
-    /// For each var assigned at level 0: the derived id justifying it.
-    unit_id: Vec<u32>,
-    /// Scratch: antecedent ids of the clause currently being learned.
-    current: Vec<u32>,
-    /// Final refutation antecedents (seeds core extraction).
-    final_ids: Vec<u32>,
-}
-
-const NO_ID: u32 = 0;
-
-impl Tracer {
-    fn mark_original(&mut self, id: ClauseId) {
-        let idx = id.0 as usize;
-        if self.original.len() <= idx {
-            self.original.resize(idx + 1, false);
-        }
-        self.original[idx] = true;
-    }
-
-    fn is_original(&self, id: u32) -> bool {
-        self.original.get(id as usize).copied().unwrap_or(false)
-    }
-}
-
 /// The CDCL solver. See the crate docs for an overview.
 ///
 /// ```
@@ -399,9 +354,6 @@ pub struct Solver {
     conflict_set: Vec<Lit>,
     pub(crate) stats: SolverStats,
     next_clause_id: u32,
-    pub(crate) tracer: Option<Tracer>,
-    /// Core (original clause ids) from the last UNSAT answer, when tracing.
-    last_core: Option<Vec<ClauseId>>,
     pub(crate) budget: Budget,
     pub(crate) governor: ResourceGovernor,
     /// Why the last solve call answered `Unknown` (cleared per call).
@@ -441,7 +393,6 @@ impl Solver {
 
     /// Creates a solver with the given configuration.
     pub fn with_config(config: SolverConfig) -> Solver {
-        let tracer = config.proof_tracing.then(Tracer::default);
         let first_reduce = config.first_reduce;
         Solver {
             config,
@@ -467,8 +418,6 @@ impl Solver {
             conflict_set: Vec::new(),
             stats: SolverStats::default(),
             next_clause_id: 1,
-            tracer,
-            last_core: None,
             budget: Budget::unlimited(),
             governor: ResourceGovernor::unlimited(),
             exhaustion: None,
@@ -501,9 +450,6 @@ impl Solver {
         self.watches.push(Vec::new());
         self.order.grow_to(self.assigns.len());
         self.order.insert(var, &self.activity);
-        if let Some(tr) = &mut self.tracer {
-            tr.unit_id.push(NO_ID);
-        }
         var
     }
 
@@ -548,14 +494,8 @@ impl Solver {
         let id = ClauseId(self.next_clause_id);
         self.next_clause_id += 1;
         self.stats.original_clauses += 1;
-        if let Some(tr) = &mut self.tracer {
-            tr.mark_original(id);
-        }
         if sorted.is_empty() {
             self.ok = false;
-            if let Some(tr) = &mut self.tracer {
-                tr.final_ids = vec![id.0];
-            }
             return Some(id);
         }
         // Reorder so the first two literals are the "best" watches:
@@ -577,13 +517,6 @@ impl Solver {
             // at level 0 (all assignments here are level-0 assignments).
             if v0.is_false() {
                 self.ok = false;
-                if let Some(_tr) = &self.tracer {
-                    let mut ids = vec![id.0];
-                    for &l in &sorted {
-                        ids.push(self.level0_unit_id(l.var()));
-                    }
-                    self.tracer.as_mut().expect("traced").final_ids = ids;
-                }
                 return Some(id);
             }
             if v0.is_true() {
@@ -600,8 +533,7 @@ impl Solver {
                 self.attach(cref);
             }
             self.enqueue(sorted[0], cref);
-            if let Some(confl) = self.propagate() {
-                self.record_final_level0(confl);
+            if self.propagate().is_some() {
                 self.ok = false;
             }
             return Some(id);
@@ -699,9 +631,7 @@ impl Solver {
     /// spelling; both names resolve to the same implementation).
     ///
     /// On [`SolveResult::Unsat`], [`Solver::failed_assumptions`] returns a
-    /// subset of the assumptions sufficient for unsatisfiability; if proof
-    /// tracing is enabled, [`Solver::core_clause_ids`] additionally returns
-    /// the original clauses used by the refutation.
+    /// subset of the assumptions sufficient for unsatisfiability.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.solve_with_assumptions(assumptions)
     }
@@ -736,18 +666,12 @@ impl Solver {
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.model.clear();
         self.conflict_set.clear();
-        self.last_core = None;
         self.exhaustion = None;
         if !self.ok {
-            if let Some(tr) = &self.tracer {
-                let seeds = tr.final_ids.clone();
-                self.last_core = Some(self.expand_core(&seeds));
-            }
             return SolveResult::Unsat;
         }
         debug_assert_eq!(self.decision_level(), 0);
-        if let Some(confl) = self.propagate() {
-            self.record_final_level0(confl);
+        if self.propagate().is_some() {
             self.ok = false;
             return SolveResult::Unsat;
         }
@@ -803,9 +727,7 @@ impl Solver {
     ///   after [`Solver::retire_group`] asserted the group literal false).
     ///
     /// Retiring a clause that is *not* redundant weakens the formula and
-    /// can change answers. With [`SolverConfig::proof_tracing`], cores
-    /// reported after a retirement may still name retired clause ids —
-    /// they were original clauses when the traced derivations happened.
+    /// can change answers.
     ///
     /// # Examples
     ///
@@ -944,14 +866,6 @@ impl Solver {
         &self.conflict_set
     }
 
-    /// Original clause ids used in the last refutation.
-    ///
-    /// Returns `None` unless the last solve returned UNSAT and
-    /// [`SolverConfig::proof_tracing`] is enabled.
-    pub fn core_clause_ids(&self) -> Option<&[ClauseId]> {
-        self.last_core.as_deref()
-    }
-
     /// Attempts to prove that the clauses added so far entail `a ≡ b`,
     /// spending at most `max_conflicts` conflicts per implication direction.
     ///
@@ -1019,7 +933,6 @@ impl Solver {
                 conflicts_here += 1;
                 self.governor.note(FaultSite::Conflict);
                 if self.decision_level() == 0 {
-                    self.record_final_level0(confl);
                     self.ok = false;
                     return SearchOutcome::Unsat;
                 }
@@ -1159,32 +1072,6 @@ impl Solver {
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(lit);
-        if self.decision_level() == 0 {
-            if let Some(tr) = &mut self.tracer {
-                if tr.unit_id[v] == NO_ID && reason.is_valid() {
-                    // Derive a unit id justifying this level-0 literal.
-                    let rid = self.db.id(reason);
-                    let rlits: Vec<Lit> = self.db.lits(reason).to_vec();
-                    if rlits.len() == 1 {
-                        tr.unit_id[v] = rid.0;
-                    } else {
-                        let mut ante = Vec::with_capacity(rlits.len());
-                        ante.push(rid.0);
-                        for l in rlits {
-                            if l.var() != lit.var() {
-                                let uid = tr.unit_id[l.var().index()];
-                                debug_assert_ne!(uid, NO_ID, "level-0 reason lit lacks unit id");
-                                ante.push(uid);
-                            }
-                        }
-                        let fresh = self.next_clause_id;
-                        self.next_clause_id += 1;
-                        tr.antecedents.insert(fresh, ante.into_boxed_slice());
-                        tr.unit_id[v] = fresh;
-                    }
-                }
-            }
-        }
     }
 
     pub(crate) fn propagate(&mut self) -> Option<ClauseRef> {
@@ -1272,17 +1159,8 @@ impl Solver {
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let mut confl = confl;
-        if let Some(tr) = &mut self.tracer {
-            tr.current.clear();
-        }
         loop {
             self.bump_clause(confl);
-            if self.tracer.is_some() {
-                let cid = self.db.id(confl).0;
-                if let Some(tr) = &mut self.tracer {
-                    tr.current.push(cid);
-                }
-            }
             let lits: Vec<Lit> = self.db.lits(confl).to_vec();
             let start = if p.is_some() { 1 } else { 0 };
             for &q in &lits[start..] {
@@ -1290,13 +1168,7 @@ impl Solver {
                 if self.seen[v.index()] == 0 {
                     let lvl = self.level[v.index()];
                     if lvl == 0 {
-                        // Resolved away by a level-0 unit; record it.
-                        if self.tracer.is_some() {
-                            let uid = self.level0_unit_id(v);
-                            if let Some(tr) = &mut self.tracer {
-                                tr.current.push(uid);
-                            }
-                        }
+                        // Resolved away by a level-0 unit.
                         continue;
                     }
                     self.seen[v.index()] = 1;
@@ -1367,23 +1239,15 @@ impl Solver {
         self.analyze_stack.clear();
         self.analyze_stack.push(lit);
         let top = self.analyze_clear.len();
-        let mut recorded: Vec<u32> = Vec::new();
         while let Some(l) = self.analyze_stack.pop() {
             let cref = self.reason[l.var().index()];
             debug_assert!(cref.is_valid());
-            if self.tracer.is_some() {
-                recorded.push(self.db.id(cref).0);
-            }
             let lits: Vec<Lit> = self.db.lits(cref).to_vec();
             for &q in &lits[1..] {
                 let v = q.var();
                 if self.seen[v.index()] == 0 {
                     let lvl = self.level[v.index()];
                     if lvl == 0 {
-                        if self.tracer.is_some() {
-                            let uid = self.level0_unit_id(v);
-                            recorded.push(uid);
-                        }
                         continue;
                     }
                     if self.reason[v.index()].is_valid() {
@@ -1400,32 +1264,17 @@ impl Solver {
                 }
             }
         }
-        if let Some(tr) = &mut self.tracer {
-            tr.current.extend(recorded);
-        }
         true
     }
 
     fn learn(&mut self, learnt: Vec<Lit>) {
-        let fresh = self.next_clause_id;
-        let id = if let Some(tr) = &mut self.tracer {
-            self.next_clause_id += 1;
-            let mut ante = std::mem::take(&mut tr.current);
-            ante.sort_unstable();
-            ante.dedup();
-            tr.antecedents.insert(fresh, ante.into_boxed_slice());
-            ClauseId(fresh)
-        } else {
-            ClauseId::UNTRACKED
-        };
+        let cref = self.db.alloc(&learnt, true, ClauseId::UNTRACKED);
         if learnt.len() == 1 {
             debug_assert_eq!(self.decision_level(), 0);
             self.update_lbd_emas(1);
-            let cref = self.db.alloc(&learnt, true, id);
             self.enqueue(learnt[0], cref);
             return;
         }
-        let cref = self.db.alloc(&learnt, true, id);
         let lbd = self.compute_lbd(&learnt);
         self.update_lbd_emas(lbd);
         self.db.set_lbd(cref, lbd);
@@ -1588,80 +1437,39 @@ impl Solver {
     }
 
     // ------------------------------------------------------------------
-    // Final conflict analysis (assumptions and cores)
+    // Final conflict analysis (failed assumptions)
     // ------------------------------------------------------------------
-
-    /// The derived unit id justifying a level-0 assignment of `v`.
-    fn level0_unit_id(&self, v: Var) -> u32 {
-        let tr = self.tracer.as_ref().expect("tracing enabled");
-        let uid = tr.unit_id[v.index()];
-        debug_assert_ne!(uid, NO_ID, "level-0 var without unit id");
-        uid
-    }
-
-    /// Conflict at decision level 0: the formula itself is UNSAT.
-    fn record_final_level0(&mut self, confl: ClauseRef) {
-        if self.tracer.is_none() {
-            return;
-        }
-        let mut ids = vec![self.db.id(confl).0];
-        let lits: Vec<Lit> = self.db.lits(confl).to_vec();
-        for l in lits {
-            ids.push(self.level0_unit_id(l.var()));
-        }
-        let core = self.expand_core(&ids);
-        self.tracer.as_mut().expect("traced").final_ids = ids;
-        self.last_core = Some(core);
-    }
 
     /// Assumption literal `p` is already false: walk its reason chain.
     fn analyze_final_assumption(&mut self, p: Lit) {
         self.conflict_set.clear();
         self.conflict_set.push(p);
-        let mut core_ids: Vec<u32> = Vec::new();
         if self.level[p.var().index()] == 0 {
-            if self.tracer.is_some() {
-                core_ids.push(self.level0_unit_id(p.var()));
-                self.last_core = Some(self.expand_core(&core_ids));
-            }
-            // !p holds at level 0: p alone is the failed assumption, and with
-            // tracing the core is the refutation of p.
+            // !p holds at level 0: p alone is the failed assumption.
             return;
         }
         // Walk backwards from !p through reasons.
-        self.analyze_final_walk(vec![!p], &mut core_ids);
-        if self.tracer.is_some() {
-            self.last_core = Some(self.expand_core(&core_ids));
-        }
+        self.analyze_final_walk(vec![!p]);
     }
 
     /// Conflict while all decisions are assumptions: failed set from the
     /// conflicting clause.
     fn analyze_final_conflict(&mut self, confl: ClauseRef) {
         self.conflict_set.clear();
-        let mut core_ids: Vec<u32> = Vec::new();
-        if self.tracer.is_some() {
-            core_ids.push(self.db.id(confl).0);
-        }
         let seeds: Vec<Lit> = self.db.lits(confl).to_vec();
-        self.analyze_final_walk(seeds, &mut core_ids);
-        if self.tracer.is_some() {
-            self.last_core = Some(self.expand_core(&core_ids));
-        }
+        self.analyze_final_walk(seeds);
     }
 
     /// Shared reason-graph walk for final conflicts. `seeds` are false
     /// literals; assumption decisions reached are added (negated) to the
-    /// conflict set, traversed clause ids to `core_ids`.
-    fn analyze_final_walk(&mut self, seeds: Vec<Lit>, core_ids: &mut Vec<u32>) {
+    /// conflict set.
+    fn analyze_final_walk(&mut self, seeds: Vec<Lit>) {
         let mut stack: Vec<Var> = Vec::new();
         for l in &seeds {
             let v = l.var();
             if self.level[v.index()] > 0 && self.seen[v.index()] == 0 {
                 self.seen[v.index()] = 1;
                 stack.push(v);
-            } else if self.level[v.index()] == 0 && self.tracer.is_some() {
-                core_ids.push(self.level0_unit_id(v));
             }
         }
         let mut cleanup = stack.clone();
@@ -1675,20 +1483,13 @@ impl Solver {
                 self.conflict_set.push(lit);
                 continue;
             }
-            if self.tracer.is_some() {
-                core_ids.push(self.db.id(r).0);
-            }
             let lits: Vec<Lit> = self.db.lits(r).to_vec();
             for q in lits {
                 let qv = q.var();
                 if qv == v {
                     continue;
                 }
-                if self.level[qv.index()] == 0 {
-                    if self.tracer.is_some() {
-                        core_ids.push(self.level0_unit_id(qv));
-                    }
-                } else if self.seen[qv.index()] == 0 {
+                if self.level[qv.index()] > 0 && self.seen[qv.index()] == 0 {
                     self.seen[qv.index()] = 1;
                     cleanup.push(qv);
                     stack.push(qv);
@@ -1700,26 +1501,6 @@ impl Solver {
         }
         self.conflict_set.sort_unstable_by_key(|l| l.code());
         self.conflict_set.dedup();
-    }
-
-    /// Expands derived ids through the antecedent DAG to original clause ids.
-    fn expand_core(&self, seeds: &[u32]) -> Vec<ClauseId> {
-        let tr = self.tracer.as_ref().expect("tracing enabled");
-        let mut visited: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let mut out: Vec<ClauseId> = Vec::new();
-        let mut stack: Vec<u32> = seeds.to_vec();
-        while let Some(id) = stack.pop() {
-            if id == NO_ID || !visited.insert(id) {
-                continue;
-            }
-            if tr.is_original(id) {
-                out.push(ClauseId(id));
-            } else if let Some(ante) = tr.antecedents.get(&id) {
-                stack.extend(ante.iter().copied());
-            }
-        }
-        out.sort_unstable();
-        out
     }
 }
 
@@ -1924,74 +1705,6 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unknown);
         s.set_budget(Budget::unlimited());
         assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn core_tracing_pigeonhole() {
-        let mut s = Solver::with_config(SolverConfig {
-            proof_tracing: true,
-            ..SolverConfig::default()
-        });
-        pigeonhole(&mut s, 4, 3);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        let core = s.core_clause_ids().expect("tracing enabled").to_vec();
-        assert!(!core.is_empty());
-        // Replay the core alone: it must be UNSAT.
-        let mut s2 = Solver::new();
-        let mut replay: Vec<Vec<Lit>> = Vec::new();
-        {
-            // Rebuild PHP(4,3) clause list in the same order to map ids.
-            let mut probe = Solver::new();
-            let mut id_to_clause: HashMap<u32, Vec<Lit>> = HashMap::new();
-            let add = |probe: &mut Solver, lits: Vec<Lit>, map: &mut HashMap<u32, Vec<Lit>>| {
-                if let Some(id) = probe.add_clause(&lits) {
-                    map.insert(id.0, lits);
-                }
-            };
-            let p: Vec<Vec<Lit>> = (0..4)
-                .map(|_| (0..3).map(|_| probe.new_var().positive()).collect())
-                .collect();
-            for row in &p {
-                add(&mut probe, row.clone(), &mut id_to_clause);
-            }
-            for h in 0..3 {
-                for i in 0..4 {
-                    for j in i + 1..4 {
-                        add(&mut probe, vec![!p[i][h], !p[j][h]], &mut id_to_clause);
-                    }
-                }
-            }
-            for _ in 0..12 {
-                s2.new_var();
-            }
-            for cid in &core {
-                replay.push(id_to_clause[&cid.0].clone());
-            }
-        }
-        for c in &replay {
-            s2.add_clause(c);
-        }
-        assert_eq!(s2.solve(), SolveResult::Unsat, "core replay must be UNSAT");
-    }
-
-    #[test]
-    fn core_excludes_irrelevant_clauses() {
-        let mut s = Solver::with_config(SolverConfig {
-            proof_tracing: true,
-            ..SolverConfig::default()
-        });
-        let v = vars(&mut s, 4);
-        let irrelevant = s.add_clause(&[v[2], v[3]]).expect("id");
-        let relevant1 = s.add_clause(&[v[0]]).expect("id");
-        let relevant2 = s.add_clause(&[!v[0], v[1]]).expect("id");
-        let relevant3 = s.add_clause(&[!v[1]]).expect("id");
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        let core = s.core_clause_ids().expect("core").to_vec();
-        assert!(core.contains(&relevant1));
-        assert!(core.contains(&relevant2));
-        assert!(core.contains(&relevant3));
-        assert!(!core.contains(&irrelevant));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use emm_verif::aig::{Design, LatchInit, MemInit};
-use emm_verif::bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_verif::bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A tiny transaction log: every cycle an external value may be
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("design: {}", d.stats());
 
     // --- Witness search with EMM (the paper's BMC-2, Fig. 2) -----------
-    let mut engine = BmcEngine::new(&d, BmcOptions::default());
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default());
     let run = engine.check(0, 16)?;
     match &run.verdict {
         BmcVerdict::Counterexample(trace) => {
@@ -74,13 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Proof by induction (the paper's BMC-3, Fig. 3) ----------------
-    let mut engine = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let run = engine.check(1, 16)?;
     match &run.verdict {
         BmcVerdict::Proof { kind, depth } => {

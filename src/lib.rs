@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use emm_verif::aig::{Design, LatchInit, MemInit};
-//! use emm_verif::bmc::{BmcEngine, BmcOptions, BmcVerdict};
+//! use emm_verif::bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 //!
 //! // A design with an embedded memory: write 0xA to address 5 at cycle 1,
 //! // read it back from cycle 3 on.
@@ -45,7 +45,7 @@
 //! d.check().map_err(std::io::Error::other)?;
 //!
 //! // BMC with EMM finds the witness without expanding the memory.
-//! let mut engine = BmcEngine::new(&d, BmcOptions::default());
+//! let mut engine = BmcEngine::new(&d, VerifyOptions::default());
 //! let run = engine.check(0, 10).map_err(std::io::Error::other)?;
 //! assert!(matches!(run.verdict, BmcVerdict::Counterexample(_)));
 //! # Ok::<(), std::io::Error>(())

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the paper's case-study workflows end to
 //! end, at test-friendly scale.
 
-use emm_verif::bmc::{pba, AbstractionSpec, BmcEngine, BmcOptions, BmcVerdict, ProofKind};
+use emm_verif::bmc::{pba, AbstractionSpec, BmcEngine, BmcVerdict, ProofKind, VerifyOptions};
 use emm_verif::designs::image_filter::{ImageFilter, ImageFilterConfig};
 use emm_verif::designs::industry2::{Industry2, Industry2Config};
 use emm_verif::designs::quicksort::{QuickSort, QuickSortConfig};
@@ -19,13 +19,7 @@ fn quicksort_proofs_scale_with_n() {
             bug: Default::default(),
         });
         for prop in [qs.p1.0 as usize, qs.p2.0 as usize] {
-            let mut engine = BmcEngine::new(
-                &qs.design,
-                BmcOptions {
-                    proofs: true,
-                    ..BmcOptions::default()
-                },
-            );
+            let mut engine = BmcEngine::new(&qs.design, VerifyOptions::default().proofs(true));
             let run = engine.check(prop, qs.cycle_bound()).expect("run");
             match run.verdict {
                 BmcVerdict::Proof { depth, .. } => {
@@ -61,7 +55,7 @@ fn quicksort_p1_holds_only_for_correct_comparison() {
     let mut d = qs.design.clone();
     let halted = qs.halted;
     d.add_property("reaches_halt", halted);
-    let mut engine = BmcEngine::new(&d, BmcOptions::default());
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default());
     let run = engine.check(2, qs.cycle_bound()).expect("run");
     match run.verdict {
         BmcVerdict::Counterexample(trace) => {
@@ -119,7 +113,7 @@ fn quicksort_pba_drops_array_for_p2() {
 fn image_filter_property_bank() {
     let config = ImageFilterConfig::small();
     let filter = ImageFilter::new(config);
-    let mut engine = BmcEngine::new(&filter.design, BmcOptions::default());
+    let mut engine = BmcEngine::new(&filter.design, VerifyOptions::default());
     let mut max_depth = 0usize;
     for &p in &filter.reachable {
         let run = engine.check(p, config.max_witness_depth + 4).expect("run");
@@ -135,13 +129,7 @@ fn image_filter_property_bank() {
     }
     assert!(max_depth >= 8, "depths should spread out (max {max_depth})");
 
-    let mut engine = BmcEngine::new(
-        &filter.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&filter.design, VerifyOptions::default().proofs(true));
     for &p in &filter.unreachable {
         let run = engine.check(p, 24).expect("run");
         assert!(
@@ -166,11 +154,9 @@ fn industry2_full_workflow() {
     };
     let mut engine = BmcEngine::new(
         d,
-        BmcOptions {
-            abstraction: Some(no_memory.clone()),
-            validate_traces: false,
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .abstraction(Some(no_memory.clone()))
+            .validate_traces(false),
     );
     let run = engine.check(lookup.lookups[0], 20).expect("run");
     match run.verdict {
@@ -185,7 +171,7 @@ fn industry2_full_workflow() {
     }
 
     // 2. EMM: no witness.
-    let mut engine = BmcEngine::new(d, BmcOptions::default());
+    let mut engine = BmcEngine::new(d, VerifyOptions::default());
     for &p in &lookup.lookups {
         let run = engine.check(p, 25).expect("run");
         assert!(
@@ -196,13 +182,7 @@ fn industry2_full_workflow() {
     }
 
     // 3. Invariant proved by backward induction at small depth.
-    let mut engine = BmcEngine::new(
-        d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(d, VerifyOptions::default().proofs(true));
     let run = engine.check(lookup.invariant, 10).expect("run");
     match run.verdict {
         BmcVerdict::Proof { kind, depth } => {
@@ -224,12 +204,10 @@ fn industry2_full_workflow() {
     };
     let mut engine = BmcEngine::new(
         cd,
-        BmcOptions {
-            proofs: true,
-            abstraction: Some(no_memory),
-            validate_traces: false,
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .proofs(true)
+            .abstraction(Some(no_memory))
+            .validate_traces(false),
     );
     for &p in &constrained.lookups {
         let run = engine.check(p, 25).expect("run");
@@ -274,13 +252,7 @@ fn cpu_program_correctness_and_any_program_invariant() {
     assert!(expected.halted);
     let cpu = TinyCpu::with_program(config, &program, expected.acc);
     let prop = cpu.result_correct.expect("concrete").0 as usize;
-    let mut engine = BmcEngine::new(
-        &cpu.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&cpu.design, VerifyOptions::default().proofs(true));
     let run = engine
         .check(prop, cpu.load_cycles + expected.cycles + 20)
         .expect("run");
@@ -293,7 +265,7 @@ fn cpu_program_correctness_and_any_program_invariant() {
     // A wrong expectation must be refuted with a validated witness.
     let wrong = TinyCpu::with_program(config, &program, expected.acc ^ 1);
     let prop = wrong.result_correct.expect("concrete").0 as usize;
-    let mut engine = BmcEngine::new(&wrong.design, BmcOptions::default());
+    let mut engine = BmcEngine::new(&wrong.design, VerifyOptions::default());
     let run = engine
         .check(prop, wrong.load_cycles + expected.cycles + 4)
         .expect("run");
@@ -306,13 +278,7 @@ fn cpu_program_correctness_and_any_program_invariant() {
 
     // Any-program invariant.
     let any = TinyCpu::any_program(config);
-    let mut engine = BmcEngine::new(
-        &any.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&any.design, VerifyOptions::default().proofs(true));
     let run = engine.check(any.halt_sticky.0 as usize, 20).expect("run");
     assert!(
         run.verdict.is_proof(),
@@ -334,7 +300,7 @@ fn quicksort_injected_bugs_are_found() {
         addr_width: 3,
         data_width: 3,
     });
-    let mut engine = BmcEngine::new(&qs.design, BmcOptions::default());
+    let mut engine = BmcEngine::new(&qs.design, VerifyOptions::default());
     let run = engine
         .check(qs.p1.0 as usize, qs.cycle_bound())
         .expect("run");
@@ -352,7 +318,7 @@ fn quicksort_injected_bugs_are_found() {
         addr_width: 3,
         data_width: 3,
     });
-    let mut engine = BmcEngine::new(&qs.design, BmcOptions::default());
+    let mut engine = BmcEngine::new(&qs.design, VerifyOptions::default());
     let run = engine
         .check(qs.p2.0 as usize, qs.cycle_bound())
         .expect("run");
